@@ -1,4 +1,4 @@
-"""Hot subset-enumeration kernels.
+"""Hot subset-enumeration kernel.
 
 Everything here counts vertex subsets of a bitmask-encoded graph: a subset W
 (a mask) totally dominates iff the OR of the open-neighborhood masks of its
@@ -6,132 +6,64 @@ members covers every live bit. Counting is grouped by subset size, which is
 exactly the coefficient vector of the total domination polynomial; counts
 fit int64 comfortably inside the 26-bit enumeration budget.
 
-Two interchangeable implementations exist: a numba-jitted mask loop (default)
-and a chunked pure-numpy sweep. Set TDPOLY_BACKEND=numpy to force the
-fallback, TDPOLY_BACKEND=numba to insist on the jit; unset/auto prefers
-numba and silently degrades when it is not importable. Results are
-bit-identical across backends.
+The kernel is a meet-in-the-middle split in the style of Horowitz-Sahni
+(JACM 1974). A subset is a low half (its first n//2 bits) joined to a high
+half. Each half's sub-masks get their cover (the OR of their members'
+neighborhoods) in one table of 2^(n/2) entries. Blocks of high sub-masks are
+then tested against the whole low table at once, ``(cover_lo | cover_hi) ==
+full``, about 2^16 pairs per block, so the 2^n pairs are never held in memory.
+Low sub-masks are kept in ascending size, so one ``reduceat`` tallies each
+block's hits per (high size, low size) pair.
 """
 
 from __future__ import annotations
 
-import os
+from functools import lru_cache
 
 import numpy as np
 
-BACKEND_ENV_VAR = "TDPOLY_BACKEND"
-
-# int64 masks leave headroom well past the oracle's 26-bit enumeration cap.
+# int64 covers hold the n vertex bits plus the marker bit n (see _half), well
+# past the oracle's 26-bit enumeration cap.
 MAX_KERNEL_BITS = 62
 
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAS_NUMBA = False
+# (cover_lo | cover_hi) pairs compared per block; keeps each block's
+# temporaries near half a megabyte.
+_BLOCK = 1 << 16
 
 
-def active_backend() -> str:
-    """Resolve the backend name from the environment ('numba' or 'numpy')."""
-    choice = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower() or "auto"
-    if choice == "auto":
-        return "numba" if _HAS_NUMBA else "numpy"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not _HAS_NUMBA:
-            raise RuntimeError("TDPOLY_BACKEND=numba but numba is not importable")
-        return "numba"
-    raise ValueError(f"{BACKEND_ENV_VAR} must be 'numba', 'numpy' or 'auto', got {choice!r}")
+@lru_cache(maxsize=None)
+def _half_table(k: int):
+    """The 2^k sub-masks of k bits in ascending size, with their bit matrix and sizes.
+
+    Also returns where each size starts in that order. The arrays are shared
+    by every call, so they are read-only.
+    """
+    masks = np.arange(1 << k, dtype=np.int64)
+    masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+    sizes = np.bitwise_count(masks)
+    bits = (masks[:, None] >> np.arange(k)) & 1 == 1
+    starts = np.searchsorted(sizes, np.arange(k + 1))
+    for a in (masks, bits, sizes, starts):
+        a.flags.writeable = False
+    return masks, bits, sizes, starts
 
 
-if _HAS_NUMBA:
+def _half(nbr, start, stop, required, forbidden, al_masks):
+    """Covers, sizes and at-least hits of the sub-masks of bits start..stop-1.
 
-    @njit(cache=True)
-    def _size_counts_nb(nbr, required, forbidden, atleast_masks, atleast_mins):
-        n = nbr.shape[0]
-        full = (np.int64(1) << n) - 1
-        counts = np.zeros(n + 1, dtype=np.int64)
-        n_atleast = atleast_masks.shape[0]
-        for mask in range(np.int64(1) << n):
-            if mask & required != required:
-                continue
-            if mask & forbidden != 0:
-                continue
-            cover = np.int64(0)
-            size = 0
-            m = mask
-            v = 0
-            while m:
-                if m & 1:
-                    cover |= nbr[v]
-                    size += 1
-                m >>= 1
-                v += 1
-            if cover != full:
-                continue
-            ok = True
-            for j in range(n_atleast):
-                hits = 0
-                m = mask & atleast_masks[j]
-                while m:
-                    m &= m - 1
-                    hits += 1
-                if hits < atleast_mins[j]:
-                    ok = False
-                    break
-            if ok:
-                counts[size] += 1
-        return counts
-
-    @njit(cache=True)
-    def _first_dominating_size_nb(nbr):
-        # Gosper's hack walks the masks of each popcount in ascending order,
-        # so the first covering mask found is at the minimum size.
-        n = nbr.shape[0]
-        limit = np.int64(1) << n
-        for k in range(2, n + 1):
-            mask = (np.int64(1) << k) - 1
-            while mask < limit:
-                cover = np.int64(0)
-                m = mask
-                v = 0
-                while m:
-                    if m & 1:
-                        cover |= nbr[v]
-                    m >>= 1
-                    v += 1
-                if cover == limit - 1:
-                    return k
-                c = mask & (-mask)
-                r = mask + c
-                mask = (((r ^ mask) >> 2) // c) | r
-        return -1
-
-
-def _size_counts_np(nbr, required, forbidden, atleast_masks, atleast_mins):
-    n = len(nbr)
-    full = (np.int64(1) << n) - np.int64(1)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    total = 1 << n
-    chunk = min(total, 1 << 16)
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        ok = (masks & required) == required
-        ok &= (masks & forbidden) == 0
-        cover = np.zeros(masks.shape, dtype=np.int64)
-        for v in range(n):
-            hit = (masks >> v) & 1 == 1
-            cover[hit] |= nbr[v]
-        ok &= cover == full
-        for j in range(len(atleast_masks)):
-            ok &= np.bitwise_count(masks & atleast_masks[j]) >= atleast_mins[j]
-        sizes = np.bitwise_count(masks[ok]).astype(np.int64)
-        counts += np.bincount(sizes, minlength=n + 1)
-    return counts
+    A sub-mask that breaks ``required`` or ``forbidden`` gets bit n set in its
+    cover: bit n lies outside the full mask, so no subset containing that
+    sub-mask counts.
+    """
+    n = nbr.shape[0]
+    masks, bits, sizes, starts = _half_table(stop - start)
+    masks = masks << start
+    cover = np.bitwise_or.reduce(np.where(bits, nbr[start:stop], 0), axis=1)
+    own = ((1 << stop) - 1) ^ ((1 << start) - 1)
+    if (required | forbidden) & own:
+        bad = ((masks & required) != (required & own)) | ((masks & forbidden) != 0)
+        cover |= bad.astype(np.int64) << n
+    return cover, sizes, starts, [np.bitwise_count(masks & m) for m in al_masks]
 
 
 def size_counts(
@@ -154,30 +86,38 @@ def size_counts(
     n = nbr.shape[0]
     if n > MAX_KERNEL_BITS:
         raise ValueError(f"kernel supports at most {MAX_KERNEL_BITS} bits, got {n}")
-    if n == 0:
-        # One empty subset; it covers the empty vertex set.
-        return np.ones(1, dtype=np.int64) if required == 0 else np.zeros(1, dtype=np.int64)
-    al_masks = _EMPTY_I64 if atleast_masks is None else np.ascontiguousarray(atleast_masks, dtype=np.int64)
-    al_mins = _EMPTY_I64 if atleast_mins is None else np.ascontiguousarray(atleast_mins, dtype=np.int64)
+    al_masks = np.asarray([] if atleast_masks is None else atleast_masks, dtype=np.int64)
+    al_mins = np.asarray([] if atleast_mins is None else atleast_mins, dtype=np.int64)
     if al_masks.shape != al_mins.shape:
         raise ValueError("atleast_masks and atleast_mins must pair up")
-    if active_backend() == "numba":
-        return _size_counts_nb(nbr, np.int64(required), np.int64(forbidden), al_masks, al_mins)
-    return _size_counts_np(nbr, np.int64(required), np.int64(forbidden), al_masks, al_mins)
+    if required >> n:
+        # a required bit outside the graph is in no subset
+        return np.zeros(n + 1, dtype=np.int64)
+    full = (1 << n) - 1
+    split = n // 2
+    al_masks, al_mins = al_masks.tolist(), al_mins.tolist()
+    cover_lo, _, starts, inside_lo = _half(nbr, 0, split, required, forbidden, al_masks)
+    cover_hi, size_hi, _, inside_hi = _half(nbr, split, n, required, forbidden, al_masks)
+    # members each high sub-mask leaves the low half to find, per at-least atom
+    needs_hi = [k - inside.astype(np.int64) for inside, k in zip(inside_hi, al_mins)]
+    sizes_lo = np.arange(split + 1)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    step = max(1, _BLOCK >> split)
+    for s in range(0, cover_hi.size, step):
+        b = slice(s, s + step)
+        hit = (cover_lo | cover_hi[b, None]) == full
+        for inside, need in zip(inside_lo, needs_hi):
+            hit &= inside >= need[b, None]
+        per_size = np.add.reduceat(hit, starts, axis=1, dtype=np.int64)
+        np.add.at(counts, size_hi[b, None] + sizes_lo, per_size)
+    return counts
 
 
 def first_dominating_size(neighbor_masks: np.ndarray) -> int:
     """Smallest size of a totally dominating subset, -1 if none exists.
 
-    The numba path exits early at the first covering subset (ascending by
-    size); the numpy path derives the answer from the full count vector.
-    Both agree by construction.
+    The lowest positive size with a nonzero count in ``size_counts``; the
+    empty graph, whose only subset is empty, has none.
     """
-    nbr = np.ascontiguousarray(neighbor_masks, dtype=np.int64)
-    if nbr.shape[0] == 0:
-        return -1
-    if active_backend() == "numba":
-        return int(_first_dominating_size_nb(nbr))
-    counts = _size_counts_np(nbr, np.int64(0), np.int64(0), _EMPTY_I64, _EMPTY_I64)
-    hits = np.nonzero(counts)[0]
-    return int(hits[0]) if hits.size else -1
+    hits = np.flatnonzero(size_counts(neighbor_masks)[1:])
+    return int(hits[0]) + 1 if hits.size else -1

@@ -180,8 +180,8 @@ def brute_force_tdp_conditioned(g: Graph, cond: Condition) -> IntPoly:
 def gamma_t(g: Graph) -> int | None:
     """Minimum totally dominating set size; None when no such set exists.
 
-    Equals min_degree(brute_force_tdp(g)); the default backend short-circuits
-    by walking subset sizes in ascending order.
+    Equals min_degree(brute_force_tdp(g)): the lowest positive size with a
+    nonzero count in the same subset enumeration.
     """
     _check_budget(g)
     if g.order == 0:

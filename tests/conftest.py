@@ -6,10 +6,10 @@ from tdpoly.oracle import brute_force_tdp, gamma_t
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Warm the active kernel backend once so timed sections measure steady state.
+    """Warm the subset kernel once so timed sections measure steady state.
 
-    Under numba this triggers jit compilation; without numba the active
-    backend is the numpy sweep, and this only pays its first-call costs.
+    This pays numpy's first-call costs and builds the kernel's cached
+    half-tables for the small orders.
     """
     brute_force_tdp(path_graph(4))
     gamma_t(path_graph(4))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import tdpoly.kernels as kernels
-from tdpoly.graph import cycle_graph, path_graph, random_connected_graph, star_graph
-from tdpoly.kernels import active_backend, first_dominating_size, size_counts
+from tdpoly.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
+from tdpoly.kernels import first_dominating_size, size_counts
+from tdpoly.polynomial import IntPoly
+from tdpoly.reduction import cycle_tdp, path_tdp
 
-from helpers import naive_counts, naive_gamma
+from helpers import naive_counts, naive_gamma, naive_tdp_filtered
 
 
 def masks_of(g):
@@ -20,70 +22,63 @@ def masks_of(g):
     return out
 
 
-def test_active_backend_resolution(monkeypatch):
-    for has_numba in (True, False):
-        # pin the importability flag so the table holds with or without numba
-        monkeypatch.setattr(kernels, "_HAS_NUMBA", has_numba)
-        preferred = "numba" if has_numba else "numpy"
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
-        assert active_backend() == "numpy"
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numba")
-        if has_numba:
-            assert active_backend() == "numba"
-        else:
-            with pytest.raises(RuntimeError):
-                active_backend()
-        for choice in ("auto", ""):
-            monkeypatch.setenv(kernels.BACKEND_ENV_VAR, choice)
-            assert active_backend() == preferred
-        monkeypatch.delenv(kernels.BACKEND_ENV_VAR, raising=False)
-        assert active_backend() == preferred
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ValueError):
-            active_backend()
-
-
-def test_backend_numba_without_numba_errors(monkeypatch):
-    monkeypatch.setattr(kernels, "_HAS_NUMBA", False)
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numba")
-    with pytest.raises(RuntimeError):
-        active_backend()
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "auto")
-    assert active_backend() == "numpy"
-
-
 def test_counts_match_naive_reference():
     for g in (path_graph(4), cycle_graph(5), star_graph(6)):
         got = size_counts(masks_of(g))
         assert got.tolist() == naive_counts(g)
 
 
-def test_backends_bit_identical(monkeypatch):
-    pytest.importorskip("numba")
-    graphs = [path_graph(6), cycle_graph(7), star_graph(5)]
+def test_kernel_matches_naive_under_random_conditions():
     rng = random.Random(11)
-    graphs += [
-        random_connected_graph(rng.randint(2, 9), rng.uniform(0.1, 0.8), rng.randrange(2**32))
-        for _ in range(12)
-    ]
-    for g in graphs:
+    for trial in range(144):
+        # every order 1..12: odd orders and n = 1, where the low half is empty
+        n = trial % 12 + 1
+        p = rng.uniform(0.2, 0.9)
+        g = Graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         nbr = masks_of(g)
-        n = g.order
-        required = rng.randrange(1 << n)
-        forbidden = rng.randrange(1 << n) & ~required
-        al_masks = np.array([rng.randrange(1 << n)], dtype=np.int64)
-        al_mins = np.array([rng.randint(0, 2)], dtype=np.int64)
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numba")
-        jit_plain = size_counts(nbr)
-        jit_cond = size_counts(nbr, required, forbidden, al_masks, al_mins)
-        jit_first = first_dominating_size(nbr)
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
-        np_plain = size_counts(nbr)
-        np_cond = size_counts(nbr, required, forbidden, al_masks, al_mins)
-        np_first = first_dominating_size(nbr)
-        assert jit_plain.tolist() == np_plain.tolist()
-        assert jit_cond.tolist() == np_cond.tolist()
-        assert jit_first == np_first
+        bit = {v: i for i, v in enumerate(g.vertices)}
+        low = (1 << (n // 2)) - 1
+        required = rng.getrandbits(n) & rng.getrandbits(n)
+        forbidden = rng.getrandbits(n) & rng.getrandbits(n) & ~required
+        if trial % 4 == 0:
+            # forbid a whole half
+            forbidden = low if trial % 8 == 0 else ((1 << n) - 1) & ~low
+            required &= ~forbidden
+        atoms = [(rng.getrandbits(n), rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
+
+        def keep(w):
+            mask = sum(1 << bit[v] for v in w)
+            return (
+                mask & required == required
+                and not mask & forbidden
+                and all((mask & m).bit_count() >= k for m, k in atoms)
+            )
+
+        got = size_counts(
+            nbr,
+            required,
+            forbidden,
+            np.array([m for m, _ in atoms], dtype=np.int64),
+            np.array([k for _, k in atoms], dtype=np.int64),
+        )
+        assert IntPoly(got.tolist()) == naive_tdp_filtered(g, keep), (trial, g, required, forbidden, atoms)
+        gamma = naive_gamma(g)
+        assert first_dominating_size(nbr) == (-1 if gamma is None else gamma)
+
+
+def test_kernel_spans_several_blocks():
+    # from n = 17 on, the high half's sub-masks fill more than one block
+    p20 = masks_of(path_graph(20))
+    assert IntPoly(size_counts(p20).tolist()) == path_tdp(20)
+    assert IntPoly(size_counts(masks_of(cycle_graph(19))).tolist()) == cycle_tdp(19)
+    assert first_dominating_size(p20) == path_tdp(20).min_degree()
+    # at least 9 members: the path's coefficients from size 9 on
+    got = size_counts(p20, atleast_masks=np.array([(1 << 20) - 1]), atleast_mins=np.array([9]))
+    assert got.tolist() == [0] * 9 + list(path_tdp(20).coeffs[9:])
+    # P_10 + P_10 with the second copy (the high half) required whole: x^10 D_t(P_10)
+    two = masks_of(disjoint_union(path_graph(10), path_graph(10)))
+    got = size_counts(two, required=((1 << 20) - 1) ^ ((1 << 10) - 1))
+    assert IntPoly(got.tolist()) == path_tdp(10).shift(10)
 
 
 def test_first_dominating_size_matches_naive():
@@ -124,3 +119,5 @@ def test_required_and_forbidden_filters():
     assert got.tolist() == [0, 0, 0, 1, 1]
     # forbid vertex 0: {1,2} and {1,2,3} remain
     assert size_counts(nbr, forbidden=1).tolist() == [0, 0, 1, 1, 0]
+    # a required bit past the last vertex is in no subset
+    assert size_counts(nbr, required=(1 << 4)).tolist() == [0, 0, 0, 0, 0]

@@ -6,7 +6,8 @@ Output is deterministic for a fixed request and seed; elapsed time is only
 emitted when --timing is passed, precisely so byte-identity holds without it.
 
 Exit codes: 0 success, 1 a verify/scan suite found failures, 2 usage or
-parse error, 3 enumeration budget exceeded, 4 internal inconsistency.
+parse error (an evaluation beyond the float range included), 3 enumeration
+budget exceeded, 4 internal inconsistency or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a defect: one line, never a traceback
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
 
 
 def _build_parser() -> argparse.ArgumentParser:

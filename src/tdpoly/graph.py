@@ -268,26 +268,12 @@ def star_graph(n: int) -> Graph:
     return Graph(range(n), ((0, i) for i in range(1, n)))
 
 
-def union(g1: Graph, g2: Graph) -> Graph:
-    """Union on the labels as given: shared labels merge."""
-    return Graph(set(g1.vertices) | set(g2.vertices), set(g1.edges) | set(g2.edges))
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Union after shifting g2's labels above g1's."""
     offset = (max(g1.vertices) + 1) if g1.order else 0
     shifted_v = [v + offset for v in g2.vertices]
     shifted_e = [(u + offset, v + offset) for u, v in g2.edges]
     return Graph(list(g1.vertices) + shifted_v, list(g1.edges) + shifted_e)
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus every edge between the two sides."""
-    offset = (max(g1.vertices) + 1) if g1.order else 0
-    shifted_v = [v + offset for v in g2.vertices]
-    shifted_e = [(u + offset, v + offset) for u, v in g2.edges]
-    cross = [(u, v) for u in g1.vertices for v in shifted_v]
-    return Graph(list(g1.vertices) + shifted_v, list(g1.edges) + shifted_e + cross)
 
 
 def two_corona(base: Graph) -> Graph:

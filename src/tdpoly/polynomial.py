@@ -79,15 +79,38 @@ class IntPoly:
     def evaluate(self, point):
         """Horner evaluation.
 
-        Exact (returns int) when the point is an int; otherwise evaluates in
-        float/complex arithmetic.
+        Exact (returns int) when the point is an int. A float or complex
+        point is taken as the exact binary fraction it stores: Horner runs on
+        integers scaled by the common denominator, and one int/int division
+        per part rounds the exact value to the nearest float. A value beyond
+        the float range, or a point that is not finite, raises ValueError.
         """
         if isinstance(point, bool):
             raise TypeError("evaluation point must be a number, not bool")
-        acc = 0 if isinstance(point, int) else type(point)(0)
+        if isinstance(point, int):
+            acc = 0
+            for c in reversed(self._coeffs):
+                acc = acc * point + c
+            return acc
+        z = complex(point)
+        try:
+            (re, re_den), (im, im_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        except (ValueError, OverflowError):
+            raise ValueError(f"evaluation point {point!r} is not finite") from None
+        q = max(re_den, im_den)  # both are powers of two
+        a, b = re * (q // re_den), im * (q // im_den)
+        # sum c_i (a + bi)^i q^(d - i) over the Gaussian integers; d = degree
+        acc_re = acc_im = 0
+        scale = 1
         for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+            acc_re, acc_im = acc_re * a - acc_im * b + c * scale, acc_re * b + acc_im * a
+            scale *= q
+        den = scale // q if self._coeffs else 1
+        try:
+            value_re, value_im = acc_re / den, acc_im / den
+        except OverflowError:
+            raise ValueError(f"value at {point!r} is beyond the float range") from None
+        return complex(value_re, value_im) if isinstance(point, complex) else value_re
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -101,13 +124,7 @@ class IntPoly:
         return hash(self._coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(_add_coeffs(self._coeffs, other._coeffs))
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(tuple(-c for c in self._coeffs))
@@ -116,16 +133,7 @@ class IntPoly:
         return self + (-other)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return IntPoly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return IntPoly(out)
+        return IntPoly(_mul_coeffs(self._coeffs, other._coeffs))
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self._coeffs)!r})"
@@ -161,15 +169,27 @@ class IntPoly:
         return cls(int(s) for s in strings)
 
 
-def poly_arith(kind: str, p: IntPoly, q: IntPoly) -> IntPoly:
-    """Dispatch form of +, -, * for callers that carry the operation as data."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
+def _add_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sum of two coefficient sequences (ascending degree), untrimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [ca + cb for ca, cb in zip(a, b)]
+    out.extend(a[len(b):])
+    return out
+
+
+def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two coefficient sequences; the outer loop runs over the shorter."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    width = len(b)
+    out = [0] * (len(a) + width - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            out[i:i + width] = [s + ca * cb for s, cb in zip(out[i:i + width], b)]
+    return out
 
 
 def coeffwise_le(p: IntPoly, q: IntPoly) -> bool:

@@ -4,8 +4,10 @@ The vertex and edge reduction right-hand sides are deliberately assembled
 from brute-force oracle calls on the smaller derived graphs: their whole
 point is to be compared against the oracle value on the original graph, so
 each side must be computed by an independent route. The path/cycle
-recurrences and the pendant-peeling forest algorithm are the fast paths
-that fall out of those identities.
+recurrences and the forest dynamic programme are the fast paths that fall
+out of those identities: the recurrences run on plain coefficient lists, and
+the forest engine is one bottom-up pass per component over four per-vertex
+states (in W or not, dominated by a child or not).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable
 
 from .graph import Graph, cycle_graph, path_graph, to_edge_list
 from .oracle import Condition, brute_force_tdp, brute_force_tdp_conditioned, tdp_by_components
-from .polynomial import IntPoly, ensure_valid_tdp
+from .polynomial import IntPoly, _add_coeffs, _mul_coeffs, ensure_valid_tdp
 from .reports import VerificationReport
 
 _X = IntPoly.monomial(1)
@@ -156,6 +158,17 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
     return rhs
 
 
+def _order4_recurrence(seeds: tuple[IntPoly, ...], steps: int, order: int) -> IntPoly:
+    """Run D(k) = x*D(k-1) + x^2*D(k-3) + x^2*D(k-4) `steps` times past the
+    four seeds D(k-4..k-1) on plain coefficient lists; returns the last term."""
+    w0, w1, w2, w3 = (list(p.coeffs) for p in seeds)
+    for _ in range(steps):
+        # nxt[i+1] += w3[i], nxt[i+2] += w1[i] + w0[i]
+        nxt = _add_coeffs([0, *w3], [0, 0, *_add_coeffs(w1, w0)])
+        w0, w1, w2, w3 = w1, w2, w3, nxt
+    return ensure_valid_tdp(IntPoly(w3), order)
+
+
 def path_tdp(n: int) -> IntPoly:
     """D_t of the path P_n via the order-4 linear recurrence.
 
@@ -165,11 +178,7 @@ def path_tdp(n: int) -> IntPoly:
         raise ValueError("path order must be at least 1")
     if n <= 4:
         return _PATH_BASE[n]
-    window = [_PATH_BASE[1], _PATH_BASE[2], _PATH_BASE[3], _PATH_BASE[4]]
-    for _ in range(5, n + 1):
-        nxt = _X * window[3] + _X2 * window[1] + _X2 * window[0]
-        window = [window[1], window[2], window[3], nxt]
-    return ensure_valid_tdp(window[3], n)
+    return _order4_recurrence(tuple(_PATH_BASE[k] for k in range(1, 5)), n - 4, n)
 
 
 def cycle_tdp(n: int) -> IntPoly:
@@ -178,79 +187,63 @@ def cycle_tdp(n: int) -> IntPoly:
         raise ValueError("cycle order must be at least 3")
     if n <= 6:
         return _CYCLE_BASE[n]
-    window = [_CYCLE_BASE[3], _CYCLE_BASE[4], _CYCLE_BASE[5], _CYCLE_BASE[6]]
-    for _ in range(7, n + 1):
-        nxt = _X * window[3] + _X2 * window[1] + _X2 * window[0]
-        window = [window[1], window[2], window[3], nxt]
-    return ensure_valid_tdp(window[3], n)
+    return _order4_recurrence(tuple(_CYCLE_BASE[k] for k in range(3, 7)), n - 6, n)
 
 
-def tree_tdp(g: Graph, use_cache: bool = True) -> IntPoly:
-    """Exact polynomial for a forest by repeated pendant removal.
+def tree_tdp(g: Graph) -> IntPoly:
+    """Exact polynomial for a forest by one bottom-up pass per component.
 
-    Peeling the smallest-label pendant p with support w of a component T
-    uses the conditioned form of the vertex reduction (contraction equals
-    deletion at a pendant):
+    Each component is rooted at its smallest label and its vertices are
+    ordered breadth first. Every vertex v keeps four polynomials counting
+    the sets W in its subtree by size: v in W or not, times v already
+    dominated by a child in W or not; every other vertex of the subtree is
+    dominated. Visiting the vertices in reverse order folds each child c
+    into its parent v:
 
-        D_t(T) = (1+x) * D_t(T-p){w in W} + x^2 * indicator(T minus N[p], N[w]).
+    - v in W: any state of c is allowed (v dominates c);
+    - v not in W: c must already be dominated by its own children;
+    - c in W: v becomes dominated.
 
-    The plain two-term shape without the {w in W} condition would overcount
-    whenever w supports no second pendant (P_4 already breaks it). The
-    recursion tracks two per-vertex marks instead of rebuilding conditioned
-    enumerations: "required" vertices must be in W, "waived" vertices are
-    already dominated by a peeled neighbor. Components multiply; an
-    isolated vertex zeroes its component. The memo cache is an optimization
-    only and never changes results.
+    The component polynomial is the sum of the two dominated states at the
+    root, so an isolated vertex gives 0; components multiply. The work is
+    O(n^2) coefficient products for n vertices, with no recursion.
     """
     if not g.is_forest():
         raise ValueError("input graph contains a cycle")
-    memo: dict | None = {} if use_cache else None
-    out = IntPoly.one() if g.order else IntPoly.zero()
-    for comp in g.components():
-        out = out * _tree_marked(comp, frozenset(), frozenset(), memo)
+    out = [1] if g.order else []
+    seen: set[int] = set()
+    for root in g.vertices:
         if not out:
             break
-    return ensure_valid_tdp(out, g.order)
-
-
-def _tree_marked(t: Graph, required: frozenset, waived: frozenset, memo: dict | None) -> IntPoly:
-    """Generating polynomial of sets W of the tree t with required ⊆ W and
-    every vertex outside `waived` adjacent to W. Deleting a leaf keeps the
-    tree connected, so the recursion never re-splits components."""
-    if t.order == 1:
-        (v,) = t.vertices
-        if v not in waived:
-            return IntPoly.zero()
-        # W = {} (only when nothing is required) and W = {v}
-        return IntPoly((0 if required else 1, 1))
-    key = None
-    if memo is not None:
-        key = (t.vertices, t.edges, required, waived)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    p = min(v for v in t.vertices if t.degree(v) == 1)
-    (w,) = t.neighbors(p)
-    rest = t.delete_vertex(p)
-    if p in required:
-        # p is in W; it dominates w, and unless waived it needs w in W
-        if p in waived:
-            value = _X * _tree_marked(rest, required - {p}, (waived - {p}) | {w}, memo)
-        else:
-            value = _X * _tree_marked(rest, (required - {p}) | {w}, waived | {w}, memo)
-    elif p in waived:
-        value = _tree_marked(rest, required, waived - {p}, memo) + _X * _tree_marked(
-            rest, required, (waived - {p}) | {w}, memo
-        )
-    else:
-        # p out of W forces w in W to dominate p; p in W forces w in W too
-        # (p's own neighbor requirement) and waives w's
-        value = _tree_marked(rest, required | {w}, waived, memo) + _X * _tree_marked(
-            rest, required | {w}, waived | {w}, memo
-        )
-    if memo is not None:
-        memo[key] = value
-    return value
+        if root in seen:
+            continue
+        seen.add(root)
+        order, parent = [root], {}
+        for v in order:  # grows while it is walked: a breadth-first search
+            for w in g.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = v
+                    order.append(w)
+        # state[v] = [out-undominated, out-dominated, in-undominated, in-dominated]
+        state = {v: [[1], [], [0, 1], []] for v in order}
+        for c in reversed(order[1:]):
+            c_out, c_out_dom, c_in, c_in_dom = state.pop(c)
+            v_out, v_out_dom, v_in, v_in_dom = state[parent[c]]
+            c_any_out, c_any_in = _add_coeffs(c_out, c_out_dom), _add_coeffs(c_in, c_in_dom)
+            state[parent[c]] = [
+                # v not in W: c is dominated by its own children
+                _mul_coeffs(v_out, c_out_dom),
+                _add_coeffs(_mul_coeffs(v_out_dom, _add_coeffs(c_out_dom, c_in_dom)),
+                            _mul_coeffs(v_out, c_in_dom)),
+                # v in W: c in any state
+                _mul_coeffs(v_in, c_any_out),
+                _add_coeffs(_mul_coeffs(v_in_dom, _add_coeffs(c_any_out, c_any_in)),
+                            _mul_coeffs(v_in, c_any_in)),
+            ]
+        _, r_out_dom, _, r_in_dom = state[root]
+        out = _mul_coeffs(out, _add_coeffs(r_out_dom, r_in_dom))
+    return ensure_valid_tdp(IntPoly(out), g.order)
 
 
 # -- differential verification suites ----------------------------------------

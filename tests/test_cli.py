@@ -12,7 +12,9 @@ from tdpoly import cli
 from tdpoly.errors import InternalConsistencyError
 from tdpoly.graph import Graph, cycle_graph, path_graph
 from tdpoly.polynomial import IntPoly
-from tdpoly.reduction import path_tdp
+from tdpoly.reduction import cycle_tdp, path_tdp
+
+from helpers import fraction_horner
 
 
 def run_cli(capsys, argv):
@@ -116,6 +118,15 @@ def test_envelope_round_trip(capsys):
     assert cli.envelope_to_poly(json.loads(out)) == path_tdp(4)
 
 
+def test_poly_long_path_uses_tree_engine(capsys):
+    # 1500 vertices is past Python's default recursion limit of 1000
+    code, out, _ = run_cli(capsys, ["poly", "--family", "path", "--n", "1500"])
+    assert code == 0
+    env = json.loads(out)
+    assert env["method"] == "tree"
+    assert cli.envelope_to_poly(env) == path_tdp(1500)
+
+
 def test_compute_poly_method_resolution():
     assert cli.compute_poly(path_graph(5), "auto")[1] == "tree"
     assert cli.compute_poly(cycle_graph(5), "auto")[1] == "recurrence"
@@ -178,6 +189,36 @@ def test_eval_float_point(capsys):
     assert code == 0
     value = json.loads(out)["evaluations"]["0.5"]
     assert value == pytest.approx(0.5**3 + 2 * 0.5**2)
+
+
+def test_eval_long_cycle_at_half_is_exact(capsys):
+    # float Horner died converting a coefficient too large for a float
+    code, out, err = run_cli(capsys, ["eval", "--family", "cycle", "--n", "1500", "--at", "0.5"])
+    assert code == 0, err
+    assert json.loads(out)["evaluations"]["0.5"] == float(fraction_horner(cycle_tdp(1500).coeffs, 0.5)[0])
+
+
+def test_eval_cycle_at_negative_point_is_exact(capsys):
+    code, out, _ = run_cli(capsys, ["eval", "--family", "cycle", "--n", "400", "--at", "-0.3"])
+    assert code == 0
+    value = json.loads(out)["evaluations"]["-0.3"]
+    assert value == float(fraction_horner(cycle_tdp(400).coeffs, -0.3)[0])
+    assert 2.47e-105 < value < 2.48e-105
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--family", "cycle", "--n", "3000", "--at", "1.5"],
+        ["eval", "--family", "cycle", "--n", "700", "--at", "1+2i"],
+    ],
+    ids=["3000 at 1.5", "700 at 1+2i"],
+)
+def test_eval_beyond_float_range_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "beyond the float range" in err
 
 
 def test_parse_point_forms():
@@ -382,6 +423,17 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["poly", "--family", "path", "--n", "3"])
     assert code == 4
     assert "sanity check failed" in err
+
+
+def test_unexpected_error_exit_4_one_line(capsys, monkeypatch):
+    def explode(g, method):
+        raise RuntimeError("engine fell over")
+
+    monkeypatch.setattr(cli, "compute_poly", explode)
+    code, out, err = run_cli(capsys, ["poly", "--family", "path", "--n", "3"])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: RuntimeError: engine fell over\n"
 
 
 def test_help_exits_0(capsys):

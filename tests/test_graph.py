@@ -15,7 +15,6 @@ from tdpoly.graph import (
     is_cycle_shaped,
     is_path_shaped,
     is_star_shaped,
-    join,
     parse_edge_list,
     path_graph,
     random_connected_corpus,
@@ -25,8 +24,9 @@ from tdpoly.graph import (
     star_graph,
     to_edge_list,
     two_corona,
-    union,
 )
+
+from helpers import join, union
 
 
 # -- parsing ----------------------------------------------------------------

@@ -1,9 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpoly.errors import InternalConsistencyError
-from tdpoly.polynomial import IntPoly, coeffwise_le, ensure_valid_tdp, poly_arith
+from tdpoly.polynomial import IntPoly, coeffwise_le, ensure_valid_tdp
+
+from tdpoly.reduction import cycle_tdp
+
+from helpers import fraction_horner, poly_arith
 
 X2 = IntPoly.monomial(2)
 P4 = IntPoly((0, 0, 1, 2, 1))  # x^4 + 2x^3 + x^2
@@ -51,6 +57,51 @@ def test_evaluate_zero_polynomial_anywhere():
 def test_evaluate_is_exact_for_ints():
     big = IntPoly((0, 0, 10**30, 7))
     assert big.evaluate(10**6) == 10**42 + 7 * 10**18
+
+
+def test_evaluate_real_points_round_the_exact_value():
+    rng = random.Random(11)
+    points = (0.5, -0.3, 1.5, 0.1, -2.75, 1e-3, -1.0000001, 3.0)
+    for _ in range(60):
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 25))]
+        for x in points:
+            got = IntPoly(coeffs).evaluate(x)
+            assert isinstance(got, float)
+            assert got == float(fraction_horner(coeffs, x)[0]), (coeffs, x)
+
+
+def test_evaluate_complex_points_round_the_exact_value():
+    rng = random.Random(12)
+    points = (1 + 2j, -0.5j, 0.25 - 1.5j, -1.1 + 0.3j)
+    for _ in range(60):
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 25))]
+        for z in points:
+            got = IntPoly(coeffs).evaluate(z)
+            re, im = fraction_horner(coeffs, z.real, z.imag)
+            assert isinstance(got, complex)
+            assert got == complex(float(re), float(im)), (coeffs, z)
+
+
+def test_evaluate_long_cycles_exactly():
+    # float Horner gave -2.435e-75 here, the sign and 30 orders of magnitude wrong
+    c400 = cycle_tdp(400)
+    got = c400.evaluate(-0.3)
+    assert got == float(fraction_horner(c400.coeffs, -0.3)[0])
+    assert 2.47e-105 < got < 2.48e-105
+    # float Horner overflowed converting the coefficients; the exact value is about 1
+    c1500 = cycle_tdp(1500)
+    assert c1500.evaluate(0.5) == float(fraction_horner(c1500.coeffs, 0.5)[0])
+    assert cycle_tdp(800).evaluate(0.5) == 1.0
+
+
+def test_evaluate_beyond_float_range_raises_value_error():
+    with pytest.raises(ValueError, match="beyond the float range"):
+        cycle_tdp(3000).evaluate(1.5)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        cycle_tdp(700).evaluate(1 + 2j)  # float Horner returned (nan+nanj)
+    for bad in (float("nan"), float("inf"), complex(1, float("-inf"))):
+        with pytest.raises(ValueError, match="not finite"):
+            P4.evaluate(bad)
 
 
 def test_evaluate_rejects_bool():

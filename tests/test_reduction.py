@@ -215,13 +215,41 @@ def test_tree_tdp_exhaustive_small_orders():
             assert tree_tdp(t) == brute_force_tdp(t), t
 
 
-def test_tree_tdp_random_trees_with_and_without_cache():
+def test_tree_tdp_random_trees():
     rng = random.Random(2024)
     for _ in range(40):
         t = random_tree(rng.randint(1, 16), rng.randrange(2**32))
-        want = tdp_by_components(t)
-        assert tree_tdp(t, use_cache=True) == want
-        assert tree_tdp(t, use_cache=False) == want
+        assert tree_tdp(t) == tdp_by_components(t)
+
+
+@pytest.mark.parametrize("n", [1000, 1500])
+def test_tree_tdp_long_path_matches_recurrence(n):
+    # two independent routes; a recursive engine would pass the recursion limit here
+    assert tree_tdp(path_graph(n)) == path_tdp(n)
+
+
+def test_tree_tdp_stars_match_binomial_formula():
+    # D_t(K_{1,n-1}) = x((1+x)^(n-1) - 1): the centre is in W with any nonempty set of leaves
+    for n in [*range(2, 121), *range(130, 301, 10)]:
+        want = [0] + [math.comb(n - 1, k) for k in range(n)]
+        want[1] = 0
+        assert tree_tdp(star_graph(n)).coeffs == tuple(want), n
+        if n % 10 == 0:
+            # the same star rooted at a leaf: the centre carries the largest label
+            leaf_rooted = Graph(range(n), ((n - 1, i) for i in range(n - 1)))
+            assert tree_tdp(leaf_rooted).coeffs == tuple(want), n
+
+
+def test_tree_tdp_large_random_trees_meet_structural_facts():
+    rng = random.Random(4242)
+    for n in (1000, 1400, 2000):
+        t = random_tree(n, rng.randrange(2**32))
+        poly = tree_tdp(t)
+        supports = {next(iter(t.neighbors(v))) for v in t.vertices if t.degree(v) == 1}
+        assert poly.evaluate(-1) in (0, 1)
+        assert poly.coeff(n) == 1  # V itself
+        assert poly.coeff(n - 1) == n - len(supports)  # V - v unless v supports a leaf
+        assert poly.degree() == n
 
 
 def test_tree_tdp_matches_independent_enumeration():

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetError, GraphParseError
 
 # all_labeled_trees(n) decodes n^(n-2) sequences; 9^7 is the desk-scale limit.
+# The tree scans keep the same cap for their example walk.
 MAX_TREE_ENUM_ORDER = 9
 
 
@@ -355,6 +356,10 @@ def all_labeled_trees(n: int) -> Iterator[Graph]:
     """Yield every labeled tree on 0..n-1, one per Pruefer sequence.
 
     Exactly n^(n-2) trees for n >= 2; a single one-vertex graph for n = 1.
+    The tree scans count labeled trees through unlabeled ones; they walk
+    this generator only to find the first tree in Pruefer order with each
+    polynomial (the minimal-tree example column). The tests use it as the
+    labeled reference route.
     """
     if n < 1:
         raise ValueError("tree order must be at least 1")

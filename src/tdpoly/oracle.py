@@ -82,30 +82,8 @@ class Condition:
     def __and__(self, other: "Condition") -> "Condition":
         return Condition(self.atoms + other.atoms)
 
-    def holds_for(self, w: frozenset[int] | set[int]) -> bool:
-        for atom in self.atoms:
-            if isinstance(atom, Member):
-                if atom.v not in w:
-                    return False
-            elif isinstance(atom, IntersectEmpty):
-                if w & atom.vs:
-                    return False
-            else:
-                if len(w & atom.vs) < atom.k:
-                    return False
-        return True
-
 
 ALWAYS = Condition()
-
-
-def is_total_dominating(g: Graph, w: Iterable[int]) -> bool:
-    """True iff every live vertex of g has a neighbor in w."""
-    ws = set(w)
-    for v in ws:
-        if v not in g:
-            raise ValueError(f"candidate set references vertex {v}, not live in the graph")
-    return all(g.neighbors(v) & ws for v in g.vertices)
 
 
 def _bit_layout(g: Graph) -> tuple[dict[int, int], np.ndarray]:

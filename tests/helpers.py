@@ -1,14 +1,20 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is deliberately written against the set-based graph API and
-itertools, never against the package's bitmask kernels, so agreement between
-the two is meaningful evidence rather than a tautology.
+The enumerators here are deliberately written against the set-based graph
+API and itertools, never against the package's bitmask kernels, so agreement
+between the two is meaningful evidence rather than a tautology. The tree
+helpers at the end do call the brute-force oracle: what they check is the
+package's bookkeeping around it (labeled trees against unlabeled ones), so
+one oracle call per labeled tree is the reference route.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
-from tdpoly.graph import Graph
+from tdpoly.closedform import star_tdp
+from tdpoly.graph import Graph, all_labeled_trees, is_star_shaped, to_edge_list
+from tdpoly.oracle import Member, IntersectEmpty, brute_force_tdp
 from tdpoly.polynomial import IntPoly
 
 
@@ -83,3 +89,68 @@ def naive_gamma(g):
         if c and size:
             return size
     return None
+
+
+def is_total_dominating(g, w):
+    """True iff every live vertex of g has a neighbor in w."""
+    ws = set(w)
+    for v in ws:
+        if v not in g:
+            raise ValueError(f"candidate set references vertex {v}, not live in the graph")
+    return all(g.neighbors(v) & ws for v in g.vertices)
+
+
+def holds_for(cond, w):
+    """Whether the vertex set w satisfies every atom of the condition."""
+    for atom in cond.atoms:
+        if isinstance(atom, Member):
+            if atom.v not in w:
+                return False
+        elif isinstance(atom, IntersectEmpty):
+            if w & atom.vs:
+                return False
+        else:
+            if len(w & atom.vs) < atom.k:
+                return False
+    return True
+
+
+def pairwise_minimal_flags(polys):
+    """For each polynomial, whether it is coefficient-wise <= every member (k^2 pairs)."""
+    width = max((len(p.coeffs) for p in polys), default=0)
+    padded = [p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys]
+    return [all(all(a <= b for a, b in zip(mine, other)) for other in padded) for mine in padded]
+
+
+def tree_bound_row(t):
+    """Facts about one tree: oracle coefficients against C(n-1, i-1)."""
+    n = t.order
+    if n < 2 or not t.is_connected() or not t.is_forest():
+        raise ValueError("expected a tree with at least 2 vertices")
+    poly = brute_force_tdp(t)
+    bound_holds = all(poly.coeff(i) <= comb(n - 1, i - 1) for i in range(2, n + 1))
+    return {
+        "graph": to_edge_list(t),
+        "n": n,
+        "poly": poly,
+        "bound_holds": bound_holds,
+        "equals_star_poly": poly == star_tdp(n),
+        "is_star": is_star_shaped(t),
+    }
+
+
+def labeled_tree_census(n):
+    """The labeled route: one oracle call per labeled tree on 0..n-1.
+
+    Maps each polynomial to its labeled_count, star_count and the first
+    labeled tree in Pruefer order that has it.
+    """
+    classes = {}
+    for t in all_labeled_trees(n):
+        poly = brute_force_tdp(t)
+        cls = classes.get(poly)
+        if cls is None:
+            cls = classes[poly] = {"labeled_count": 0, "star_count": 0, "example": to_edge_list(t)}
+        cls["labeled_count"] += 1
+        cls["star_count"] += is_star_shaped(t)
+    return classes

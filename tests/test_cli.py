@@ -4,11 +4,12 @@ Everything goes through main(argv) so exit codes and emitted bytes are the
 same ones a shell user would see.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from tdpoly import cli
+from tdpoly import cli, extremal
 from tdpoly.errors import InternalConsistencyError
 from tdpoly.graph import Graph, cycle_graph, path_graph
 from tdpoly.polynomial import IntPoly
@@ -316,6 +317,74 @@ def test_scan_minimal_tree(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["summary"]["minimal_exists"] is True
+
+
+# sha256 of the stdout of `scan --suite S --n N --format F`, frozen from the
+# labeled route that decoded and brute-forced all n^(n-2) labeled trees.
+TREE_SCAN_DIGESTS = {
+    ("tree-bound", 2, "json"): "c89c5d4803d362324c8323ce1fade947f48f46c1673703fa2751850de7698dec",
+    ("tree-bound", 2, "csv"): "7c580620fb1c449fb7e1ebcb32a65f9e182f14ebe2bcdc74b7659e344ffe26ac",
+    ("tree-bound", 3, "json"): "99d39266cb6b35c54686fc5793449e0c7d2adb943dff627c7ecd7b6b546620b5",
+    ("tree-bound", 3, "csv"): "d7e92db3a03dd65cf6beda2c911a80e25d5a932980b64760ba9fc9e4870a6418",
+    ("tree-bound", 4, "json"): "c509e2de5ba2ed1ddc55d0c37e5b5c0cef3f9fcaf44ca702c93f059c31829db0",
+    ("tree-bound", 4, "csv"): "f35ee8232894f577ae61922cf6de5a146988ea73a8a0a5bf2b520916821b9568",
+    ("tree-bound", 5, "json"): "5c9a075819a6faf5b5179bd68e9ee14e71c711cc10bfba512cb6b2662964fa80",
+    ("tree-bound", 5, "csv"): "8e04425f142064210fc0261912e00f8f15fab8bac69d90db9f1ca995db2b2160",
+    ("tree-bound", 6, "json"): "039d3e15fb44fdedca85be5b7f0c88130a8a0f5e8c260a1bf0908648beeaf36e",
+    ("tree-bound", 6, "csv"): "f66206083e6042bc65bdc06856fac39cda62484f3af92a5173fc020ac12fda8f",
+    ("tree-bound", 7, "json"): "0b35eb5f156757214d9ec8d26f781c70e2ac61f276b4ea0945626985fef152d4",
+    ("tree-bound", 7, "csv"): "2eaa84e4d21ed24bdc419d0a89073560eca81efe85763c47a8fd8d6113a63269",
+    ("tree-bound", 8, "json"): "2f75115a211efa8124f3f018d3573d583b9a70276fc463361129d03cc506f9c4",
+    ("tree-bound", 8, "csv"): "9a3ec8d23cbdfdab13220704c1bcf4d78131eafe8f33161652e28e4ec28fbf34",
+    ("minimal-tree", 2, "json"): "2350a1002a24783f3f217d2c982e834449f6b8a567e43f1cf8190f004cc6b202",
+    ("minimal-tree", 2, "csv"): "1d1f028fcd29a8be9219490b8544d5784f2fb8c5883c0df990378b285fbbdcc9",
+    ("minimal-tree", 3, "json"): "b48c6377dc7e59009b18ce4c196cad16ac931aef68555f605c99add9704d4597",
+    ("minimal-tree", 3, "csv"): "4a7012c79a85989d33cf1a6e44c74992edaa3a904c3875b189bfe5c829c11117",
+    ("minimal-tree", 4, "json"): "022940cf84872822edc04e9634cf440e5a62474899a765ab5b975b0d00464263",
+    ("minimal-tree", 4, "csv"): "7e6b0a6eeab1cb204edec8f176ed9d08f45e96970fe76fe13ea984c82e6d3359",
+    ("minimal-tree", 5, "json"): "b5c9e69bdc79e9ec4b56fefeb3ad7f2e463006b5cc737fd6ea1272f83462d357",
+    ("minimal-tree", 5, "csv"): "06dcf354f985a90d1bdead1a06b55cca6d22bac83b131e2c5d5e4f0f3ccbe8ee",
+    ("minimal-tree", 6, "json"): "bf15dd5a2e36a12e6803e2c3f499f28b0396f2ca0fd529595351ddb6efdd4673",
+    ("minimal-tree", 6, "csv"): "e731486387697ce11666c9a4c13af5e1d74da5b11d62628e1cf5446f82edeab6",
+    ("minimal-tree", 7, "json"): "f0f1fa416b79373feb704d1e0c90b5b530aa64fd5b528ac5d564fd99c85bdf3a",
+    ("minimal-tree", 7, "csv"): "a740b8d91b591b152c14944bb32c3b225d763fb6be879a03394dd959386d9f7c",
+    ("minimal-tree", 8, "json"): "aa8f7d4e4ad5b4187b81ea709a4716236e3e024cecc2a10132c8474ad5c14138",
+    ("minimal-tree", 8, "csv"): "bb5ffee194f4b7c17fea3e7afda4ea0dfd771c0c3b28ac86fef5755e20153ecc",
+}
+
+
+@pytest.mark.parametrize(("suite", "n", "fmt"), sorted(TREE_SCAN_DIGESTS))
+def test_tree_scan_bytes_frozen(capsys, suite, n, fmt):
+    code, out, err = run_cli(capsys, ["scan", "--suite", suite, "--n", str(n), "--format", fmt])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == TREE_SCAN_DIGESTS[(suite, n, fmt)]
+
+
+@pytest.mark.parametrize("suite", ["tree-bound", "minimal-tree"])
+def test_tree_scans_refuse_orders_outside_the_cap(capsys, suite):
+    code, out, err = run_cli(capsys, ["scan", "--suite", suite, "--n", "10"])
+    assert code == 3 and out == ""
+    assert err == f"error: scan --suite {suite} is capped at n <= 9, got n = 10\n"
+    code, out, err = run_cli(capsys, ["scan", "--suite", suite, "--n", "1"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("suite", ["tree-bound", "minimal-tree"])
+def test_wrong_automorphism_count_exits_4(capsys, monkeypatch, suite):
+    """Dropping the swap of a symmetric bicentre breaks Cayley's count."""
+    honest = extremal.tree_signature
+
+    def forgets_swap(n, edges):
+        form, aut = honest(n, edges)
+        halves = form[1:-1]
+        symmetric = form.startswith("[") and halves[: len(halves) // 2] == halves[len(halves) // 2:]
+        return form, aut // 2 if symmetric else aut
+
+    monkeypatch.setattr(extremal, "tree_signature", forgets_swap)
+    code, out, err = run_cli(capsys, ["scan", "--suite", suite, "--n", "6"])
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "Cayley" in err
 
 
 def test_scan_degree2_json_and_csv(capsys):

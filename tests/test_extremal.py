@@ -1,17 +1,22 @@
+import random
+from itertools import permutations
+
 import pytest
 
 from tdpoly.extremal import (
     degree2_row,
+    free_trees,
     gamma_bounds_row,
     gamma_scan_corpus,
     is_two_corona,
+    minimal_element,
     minimal_tree_scan,
     non_supporting_pair_set,
     scan_degree2,
     scan_gamma_bounds,
     scan_tree_bound,
     supporting_identity,
-    tree_bound_row,
+    tree_signature,
     verify_basic_identities,
 )
 from tdpoly.graph import (
@@ -20,10 +25,13 @@ from tdpoly.graph import (
     disjoint_union,
     fixed_small_corpus,
     path_graph,
+    random_tree,
     star_graph,
     two_corona,
 )
 from tdpoly.polynomial import IntPoly
+
+from helpers import labeled_tree_census, pairwise_minimal_flags, tree_bound_row
 
 
 # -- tree coefficient bound ----------------------------------------------------
@@ -77,6 +85,98 @@ def test_minimal_tree_scan_order_five():
     assert report.summary["distinct_polys"] == 3
     assert report.summary["minimal_exists"] is True
     assert report.summary["minimal_poly"] == IntPoly((0, 0, 0, 1, 3, 1))
+
+
+# -- unlabeled tree census -------------------------------------------------------
+
+# Free trees of order n = 1..10 (OEIS A000055) and Cayley's n^(n-2) for n = 2..9.
+FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+CAYLEY = {2: 1, 3: 3, 4: 16, 5: 125, 6: 1296, 7: 16807, 8: 262144, 9: 4782969}
+
+
+@pytest.mark.parametrize("n", sorted(FREE_TREE_COUNTS))
+def test_free_tree_counts(n):
+    trees = free_trees(n)
+    assert len(trees) == FREE_TREE_COUNTS[n]
+    assert len({form for _, form, _ in trees}) == len(trees)
+    for edges, _, _ in trees:
+        t = Graph(range(n), edges)
+        assert t.is_connected() and t.is_forest()
+
+
+@pytest.mark.parametrize("n", sorted(CAYLEY))
+def test_tree_scans_count_cayley_labeled_trees(n):
+    report = scan_tree_bound(n)
+    assert report.summary["labeled_trees"] == CAYLEY[n]
+    assert sum(row["labeled_count"] for row in report.rows) == CAYLEY[n]
+
+
+def automorphism_count(n, edges):
+    """Vertex permutations that map the edge set onto itself, by enumeration."""
+    edge_set = {frozenset(e) for e in edges}
+    return sum(
+        all(frozenset((perm[u], perm[v])) in edge_set for u, v in edges)
+        for perm in permutations(range(n))
+    )
+
+
+def test_tree_signature_automorphisms_match_enumeration():
+    for n in range(1, 8):
+        for edges, _, aut in free_trees(n):
+            assert aut == automorphism_count(n, edges), edges
+
+
+def test_tree_signature_names_isomorphism_classes():
+    assert tree_signature(4, path_graph(4).edges) == ("[(())(())]", 2)  # symmetric bicentre
+    assert tree_signature(5, star_graph(5).edges)[1] == 24
+    # relabelings of one tree share a form; the path and the star of order 5 differ
+    rng = random.Random(7)
+    for n in (5, 8, 11):
+        t = random_tree(n, rng.randrange(2**32))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = [(perm[u], perm[v]) for u, v in t.edges]
+        assert tree_signature(n, relabeled) == tree_signature(n, t.edges)
+    assert tree_signature(5, path_graph(5).edges)[0] != tree_signature(5, star_graph(5).edges)[0]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_census_matches_labeled_route(n):
+    labeled = labeled_tree_census(n)
+    bound_rows = scan_tree_bound(n).rows
+    minimal_rows = minimal_tree_scan(n).rows
+    assert [row["poly"] for row in bound_rows] == sorted(labeled, key=lambda p: p.coeffs)
+    for bound_row, minimal_row in zip(bound_rows, minimal_rows):
+        want = labeled[bound_row["poly"]]
+        assert minimal_row["poly"] == bound_row["poly"]
+        assert bound_row["labeled_count"] == minimal_row["labeled_count"] == want["labeled_count"]
+        assert bound_row["star_count"] == want["star_count"]
+        assert minimal_row["example"] == want["example"]
+
+
+# -- coefficient-wise minimum ------------------------------------------------------
+
+
+def test_minimal_element_matches_pairwise_rule():
+    rng = random.Random(20261018)
+    for trial in range(400):
+        width = rng.randint(1, 6)
+        top = rng.choice((2, 5, 9))
+        polys = [
+            IntPoly(rng.randint(0, top) for _ in range(rng.randint(1, width)))
+            for _ in range(rng.randint(2, 7))
+        ]
+        if trial % 3 == 0:
+            polys.append(rng.choice(polys))  # a tie: the same polynomial twice
+        if trial % 5 == 0:
+            low = [min(p.coeff(i) for p in polys) for i in range(width)]
+            polys.append(IntPoly(low))  # the family's minimum, so a minimal member exists
+        least = minimal_element(polys)
+        assert [p == least for p in polys] == pairwise_minimal_flags(polys), polys
+    incomparable = [IntPoly((0, 0, 1, 3)), IntPoly((0, 0, 2, 2))]
+    assert minimal_element(incomparable) is None
+    assert pairwise_minimal_flags(incomparable) == [False, False]
+    assert minimal_element([]) is None
 
 
 # -- coefficient identities ------------------------------------------------------

@@ -20,12 +20,11 @@ from tdpoly.oracle import (
     brute_force_tdp,
     brute_force_tdp_conditioned,
     gamma_t,
-    is_total_dominating,
     tdp_by_components,
 )
 from tdpoly.polynomial import IntPoly
 
-from helpers import naive_tdp, naive_tdp_filtered
+from helpers import holds_for, is_total_dominating, naive_tdp, naive_tdp_filtered
 
 # Exact polynomials for the smallest paths and cycles; every engine in the
 # package must reproduce these.
@@ -120,10 +119,10 @@ def test_condition_atom_on_dead_vertex_rejected():
 
 def test_condition_holds_for():
     cond = Condition.member(1) & Condition.intersect_at_least([2, 3], 1)
-    assert cond.holds_for({1, 2})
-    assert not cond.holds_for({1})
-    assert not cond.holds_for({2, 3})
-    assert ALWAYS.holds_for(set())
+    assert holds_for(cond, {1, 2})
+    assert not holds_for(cond, {1})
+    assert not holds_for(cond, {2, 3})
+    assert holds_for(ALWAYS, set())
 
 
 def test_gamma_examples():

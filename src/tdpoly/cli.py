@@ -17,6 +17,7 @@ import json
 import re
 import sys
 import time
+from functools import cache
 
 from .closedform import verify_closed_forms, verify_minus_one
 from .errors import BudgetError, GraphParseError, InternalConsistencyError
@@ -102,7 +103,12 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing keeps no state in the parser, so every main() call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="tdpoly", description="Total domination polynomial toolkit."
     )

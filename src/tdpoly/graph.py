@@ -140,10 +140,9 @@ class Graph:
             removed.add(s)
         return self._induced(set(self._adj) - removed)
 
-    def components(self) -> list["Graph"]:
-        """Connected components ordered by their smallest label."""
+    def _component_sets(self) -> Iterator[set[int]]:
+        """Vertex sets of the connected components, by their smallest label."""
         seen: set[int] = set()
-        out = []
         for start in self.vertices:
             if start in seen:
                 continue
@@ -156,14 +155,20 @@ class Graph:
                         comp.add(w)
                         frontier.append(w)
             seen |= comp
-            out.append(self._induced(comp))
-        return out
+            yield comp
+
+    def components(self) -> list["Graph"]:
+        """Connected components ordered by their smallest label."""
+        return [self._induced(comp) for comp in self._component_sets()]
+
+    def _component_count(self) -> int:
+        return sum(1 for _ in self._component_sets())
 
     def is_connected(self) -> bool:
-        return self.order <= 1 or len(self.components()) == 1
+        return self.order <= 1 or self._component_count() == 1
 
     def is_forest(self) -> bool:
-        return self.size == self.order - len(self.components())
+        return self.size == self.order - self._component_count()
 
 
 @dataclass(frozen=True)
@@ -437,7 +442,7 @@ def is_path_shaped(g: Graph) -> bool:
 
 def is_cycle_shaped(g: Graph) -> bool:
     """True for C_n as an unlabeled shape, n >= 3."""
-    return g.order >= 3 and g.is_connected() and all(g.degree(v) == 2 for v in g.vertices)
+    return g.order >= 3 and all(g.degree(v) == 2 for v in g.vertices) and g.is_connected()
 
 
 def is_star_shaped(g: Graph) -> bool:

@@ -14,6 +14,16 @@ then tested against the whole low table at once, ``(cover_lo | cover_hi) ==
 full``, about 2^16 pairs per block, so the 2^n pairs are never held in memory.
 Low sub-masks are kept in ascending size, so one ``reduceat`` tallies each
 block's hits per (high size, low size) pair.
+
+Whether a high sub-mask completes a low one depends only on its key: its
+cover and, per at-least condition, how many members it still needs from the
+low half. Wide high halves have far fewer distinct keys than sub-masks
+(38-653 of 512-2048 on random connected graphs with n = 18-22), so from 2^7
+high sub-masks on (n >= 13) each distinct key is paired once. A weight table
+counts the sub-masks of each high size behind each key, and one small
+integer product per block folds the key's hits into a (high size, low size)
+table. Narrower calls cost mostly numpy call overhead, which grouping would
+raise by about half, so they pair every sub-mask.
 """
 
 from __future__ import annotations
@@ -29,6 +39,10 @@ MAX_KERNEL_BITS = 62
 # (cover_lo | cover_hi) pairs compared per block; keeps each block's
 # temporaries near half a megabyte.
 _BLOCK = 1 << 16
+
+# High halves with at least this many sub-masks (n >= 13) are grouped by key
+# before pairing; below it grouping would add about 17 us (+45 %) per call.
+_GROUP_MIN = 1 << 7
 
 
 @lru_cache(maxsize=None)
@@ -102,6 +116,21 @@ def size_counts(
     needs_hi = [k - inside.astype(np.int64) for inside, k in zip(inside_hi, al_mins)]
     sizes_lo = np.arange(split + 1)
     counts = np.zeros(n + 1, dtype=np.int64)
+    grouped = cover_hi.size >= _GROUP_MIN
+    if grouped:
+        # pair each distinct key once; weight[k, i] counts the high sub-masks
+        # of size i whose key is k
+        if needs_hi:
+            keys, key_of = np.unique(
+                np.column_stack([cover_hi, *needs_hi]), axis=0, return_inverse=True
+            )
+            cover_hi, needs_hi = keys[:, 0], list(keys.T[1:])
+        else:
+            cover_hi, key_of = np.unique(cover_hi, return_inverse=True)
+        width = n - split + 1  # high sizes 0..n-split
+        weight = np.bincount(key_of * width + size_hi, minlength=cover_hi.size * width)
+        weight = weight.reshape(-1, width)
+        table = np.zeros((width, split + 1), dtype=np.int64)
     step = max(1, _BLOCK >> split)
     for s in range(0, cover_hi.size, step):
         b = slice(s, s + step)
@@ -109,7 +138,12 @@ def size_counts(
         for inside, need in zip(inside_lo, needs_hi):
             hit &= inside >= need[b, None]
         per_size = np.add.reduceat(hit, starts, axis=1, dtype=np.int64)
-        np.add.at(counts, size_hi[b, None] + sizes_lo, per_size)
+        if grouped:
+            table += weight[b].T @ per_size
+        else:
+            np.add.at(counts, size_hi[b, None] + sizes_lo, per_size)
+    if grouped:
+        np.add.at(counts, np.arange(width)[:, None] + sizes_lo, table)
     return counts
 
 

@@ -12,6 +12,7 @@ states (in W or not, dominated by a child or not).
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 from .graph import Graph, cycle_graph, path_graph, to_edge_list
@@ -279,12 +280,14 @@ def verify_conditioned_path_recurrence(n_min: int = 5, n_max: int = 14) -> Verif
     """Check the end-anchored conditioned recurrence on paths.
 
     With D(k) = D_t(P_k){last vertex in W}, conditioned brute force on both
-    sides: D(n) = x*D(n-1) + x^2*D(n-3) + x^2*D(n-4) for n >= 5.
+    sides: D(n) = x*D(n-1) + x^2*D(n-3) + x^2*D(n-4) for n >= 5. Each D(k)
+    is enumerated once and shared by the orders that use it.
     """
     if n_min < 5:
         raise ValueError("the conditioned path recurrence needs n >= 5")
     report = VerificationReport("claim1", {"n_min": n_min, "n_max": n_max})
 
+    @cache
     def end_conditioned(k: int) -> IntPoly:
         if k < 1:
             raise ValueError("path order must be positive")

@@ -511,6 +511,27 @@ def test_help_exits_0(capsys):
     assert "poly" in out and "verify" in out and "scan" in out
 
 
+def test_calls_in_one_process_match_separate_calls(capsys):
+    # main() shares one parser across calls; a fresh parser per call must
+    # give the same bytes and exit codes, whatever ran before it
+    requests = [
+        ["poly", "--family", "cycle", "--n", "7"],
+        ["--bogus"],
+        ["eval", "--family", "path", "--n", "6", "--at", "2", "1+i"],
+        ["verify", "--suite", "claim1", "--n-max", "8"],
+        ["--help"],
+        ["scan", "--suite", "gamma-bounds", "--n", "6", "--trials", "3", "--seed", "5"],
+        ["poly", "--family", "star", "--n", "5", "--method", "recurrence"],
+    ]
+    separate = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        separate.append(run_cli(capsys, argv)[:2])
+    shared = [run_cli(capsys, argv)[:2] for argv in requests + requests]
+    assert shared == separate + separate
+    assert [code for code, _ in separate] == [0, 2, 0, 0, 0, 0, 2]
+
+
 def test_zero_poly_text_rendering(capsys, tmp_path):
     f = tmp_path / "k1.txt"
     f.write_text("n 1\n")

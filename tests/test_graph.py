@@ -139,6 +139,23 @@ def test_connectivity_and_forest():
     assert not cycle_graph(3).is_forest()
 
 
+def test_connectivity_and_forest_with_isolated_vertices_and_components():
+    isolated = Graph(range(3))
+    assert not isolated.is_connected()
+    assert isolated.is_forest()
+    assert Graph([5]).is_connected() and Graph([5]).is_forest()
+    assert Graph([]).is_connected() and Graph([]).is_forest()
+    # a triangle, a path and three isolated vertices (2, 3, 6), labels interleaved
+    mixed = Graph(range(9), [(0, 4), (4, 8), (8, 0), (1, 5), (5, 7)])
+    assert len(mixed.components()) == 5
+    assert not mixed.is_connected()
+    assert not mixed.is_forest()
+    forest = mixed.delete_edge(0, 4)
+    assert forest.is_forest() and not forest.is_connected()
+    assert not is_cycle_shaped(disjoint_union(cycle_graph(4), cycle_graph(5)))
+    assert not is_cycle_shaped(disjoint_union(cycle_graph(3), Graph([0])))
+
+
 # -- classification ----------------------------------------------------------
 
 

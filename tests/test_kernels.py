@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -30,9 +31,10 @@ def test_counts_match_naive_reference():
 
 def test_kernel_matches_naive_under_random_conditions():
     rng = random.Random(11)
-    for trial in range(144):
-        # every order 1..12: odd orders and n = 1, where the low half is empty
-        n = trial % 12 + 1
+    for trial in range(168):
+        # every order 1..14: odd orders, n = 1, where the low half is empty,
+        # and n = 13, 14, where the high half is grouped by distinct key
+        n = trial % 14 + 1
         p = rng.uniform(0.2, 0.9)
         g = Graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         nbr = masks_of(g)
@@ -62,15 +64,35 @@ def test_kernel_matches_naive_under_random_conditions():
             np.array([k for _, k in atoms], dtype=np.int64),
         )
         assert IntPoly(got.tolist()) == naive_tdp_filtered(g, keep), (trial, g, required, forbidden, atoms)
-        gamma = naive_gamma(g)
-        assert first_dominating_size(nbr) == (-1 if gamma is None else gamma)
+        if n <= 12:
+            # the plain grouped path is checked by the frozen counts below
+            gamma = naive_gamma(g)
+            assert first_dominating_size(nbr) == (-1 if gamma is None else gamma)
+
+
+def distinct_high_covers(nbr):
+    """How many distinct covers the high half's sub-masks have (plain Python)."""
+    n = len(nbr)
+    high = [int(m) for m in nbr[n // 2 :]]
+    covers = set()
+    for sub in range(1 << len(high)):
+        cover = 0
+        for i, m in enumerate(high):
+            if sub >> i & 1:
+                cover |= m
+        covers.add(cover)
+    return len(covers)
 
 
 def test_kernel_spans_several_blocks():
-    # from n = 17 on, the high half's sub-masks fill more than one block
+    # blocks hold distinct high-half keys, 2^16 >> (n // 2) of them: 64 at
+    # n = 20 and 128 at n = 19, so both graphs below span several blocks
     p20 = masks_of(path_graph(20))
+    c19 = masks_of(cycle_graph(19))
+    assert distinct_high_covers(p20) > 64
+    assert distinct_high_covers(c19) > 128
     assert IntPoly(size_counts(p20).tolist()) == path_tdp(20)
-    assert IntPoly(size_counts(masks_of(cycle_graph(19))).tolist()) == cycle_tdp(19)
+    assert IntPoly(size_counts(c19).tolist()) == cycle_tdp(19)
     assert first_dominating_size(p20) == path_tdp(20).min_degree()
     # at least 9 members: the path's coefficients from size 9 on
     got = size_counts(p20, atleast_masks=np.array([(1 << 20) - 1]), atleast_mins=np.array([9]))
@@ -79,6 +101,42 @@ def test_kernel_spans_several_blocks():
     two = masks_of(disjoint_union(path_graph(10), path_graph(10)))
     got = size_counts(two, required=((1 << 20) - 1) ^ ((1 << 10) - 1))
     assert IntPoly(got.tolist()) == path_tdp(10).shift(10)
+
+
+def complete_masks(n):
+    full = (1 << n) - 1
+    return np.array([full ^ (1 << v) for v in range(n)], dtype=np.int64)
+
+
+def complete_bipartite_masks(side_a, n):
+    """K_{a,b} with side A given as a set of bit positions out of 0..n-1."""
+    a_mask = sum(1 << v for v in side_a)
+    b_mask = ((1 << n) - 1) ^ a_mask
+    return np.array([b_mask if v in side_a else a_mask for v in range(n)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [20, 21, 22])
+def test_complete_graph_counts(n):
+    # every set of at least 2 vertices totally dominates K_n; the high half
+    # has only h + 2 distinct covers (empty, one vertex, two or more)
+    assert size_counts(complete_masks(n)).tolist() == [0, 0] + [comb(n, i) for i in range(2, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "side_a, n",
+    [
+        (range(10), 20),  # the sides are the two halves
+        (range(0, 21, 2), 21),  # the sides interleave across both halves
+        (range(7), 22),
+        (range(3, 11), 22),
+    ],
+)
+def test_complete_bipartite_counts(side_a, n):
+    # W totally dominates K_{a,b} iff it meets both sides
+    a = len(side_a)
+    b = n - a
+    expected = [0] + [comb(n, i) - comb(a, i) - comb(b, i) for i in range(1, n + 1)]
+    assert size_counts(complete_bipartite_masks(set(side_a), n)).tolist() == expected
 
 
 def test_first_dominating_size_matches_naive():

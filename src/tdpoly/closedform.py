@@ -2,114 +2,96 @@
 
 Both closed forms ride on the quartic L^4 - x*L^3 - x^2*L - x^2, which
 factors as (L^2 + x)(L^2 - x*L - x): the path value is a weighted sum of
-n-th powers of its four roots, the cycle value is the plain power sum. The
-quartic has a double root at x = 0 and the weights blow up at x = -4, so
-those two points are rejected rather than patched around.
+n-th powers of its four roots s, -s, (x + t)/2, (x - t)/2, where s^2 = -x
+and t^2 = x(x + 4); the cycle value is the plain power sum. The quartic has
+a double root at x = 0 and the weights blow up at x = -4, so those two
+points are rejected rather than patched around.
+
+The sum is exact. A point is the binary fraction X/q it stores (X a Gaussian
+integer, q a power of two), so 2q times the roots are +-2s and X +- t with
+s^2 = -Xq and t^2 = X(X + 4q). One root of each pair is an element of
+Z[i][r]/(r^2 - R), powered by squaring; the conjugate r -> -r gives the
+other, so the pair adds up to twice the rational part. The exact value is
+rounded once per part, as in ``IntPoly.evaluate``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .graph import Graph, random_forest
-from .polynomial import IntPoly
+from .polynomial import IntPoly, _binary_point, _round_parts
 from .reduction import cycle_tdp, path_tdp, tree_tdp
 from .reports import VerificationReport
 
 SINGULAR_POINTS = (0.0, -4.0)
 
-_IMAG_REL_TOL = 1e-7
-_ROOT_RESIDUAL_TOL = 1e-9
-
 #: D_t(P_n, -1) depends only on n mod 6: residues 1 and 4 give 0, the rest 1.
 _PATH_MINUS_ONE = {0: 1, 1: 0, 2: 1, 3: 1, 4: 0, 5: 1}
 
 
-@dataclass(frozen=True)
-class RootQuad:
-    """The four characteristic roots at a point x, with combination weights.
-
-    value_at(n) returns sum(alpha_i * lambda_i**n); the weights encode the
-    initial conditions (path or cycle), the roots are shared.
-    """
-
-    x: complex
-    lambdas: tuple[complex, complex, complex, complex]
-    alphas: tuple[complex, complex, complex, complex]
-
-    @classmethod
-    def for_path(cls, x: complex) -> "RootQuad":
-        xc, s, t, lambdas = _characteristic_roots(x)
-        d = 2 * (xc + 4)
-        alphas = (
-            (2 + (xc + 3) * s) / d,
-            (2 - (xc + 3) * s) / d,
-            (xc + 2 + t) / d,
-            (xc + 2 - t) / d,
-        )
-        return cls(xc, lambdas, alphas)
-
-    @classmethod
-    def for_cycle(cls, x: complex) -> "RootQuad":
-        xc, _, _, lambdas = _characteristic_roots(x)
-        return cls(xc, lambdas, (1, 1, 1, 1))
-
-    def residuals(self) -> tuple[float, ...]:
-        """|L^4 - x*L^3 - x^2*L - x^2| at each root; should be ~0."""
-        x = self.x
-        return tuple(
-            abs(lam**4 - x * lam**3 - x * x * lam - x * x) for lam in self.lambdas
-        )
-
-    def value_at(self, n: int) -> complex:
-        return sum(a * lam**n for a, lam in zip(self.alphas, self.lambdas))
+def _ring_mul(u: tuple, v: tuple, r2: tuple) -> tuple:
+    """Product in Z[i][r]/(r^2 - r2); (a, b, c, d) is (a + bi) + (c + di)r."""
+    a, b, c, d = u
+    e, f, g, h = v
+    cg, ci = c * g - d * h, c * h + d * g  # the r^2 coefficient
+    return (
+        a * e - b * f + cg * r2[0] - ci * r2[1],
+        a * f + b * e + cg * r2[1] + ci * r2[0],
+        a * g - b * h + c * e - d * f,
+        a * h + b * g + c * f + d * e,
+    )
 
 
-def _characteristic_roots(x: complex) -> tuple[complex, complex, complex, tuple]:
-    xc = complex(x)
-    if xc == 0 or xc == -4:
+def _root_sum(n: int, x: complex | float, path: bool) -> complex | float:
+    """Sum of alpha_i lambda_i^n over the four roots, exact, then rounded."""
+    a, b, q = _binary_point(x)  # x = X/q with X = a + bi
+    if b == 0 and a in (0, -4 * q):
         raise ValueError(f"closed form is singular at x = {x}")
-    s = cmath.sqrt(-xc)
-    t = cmath.sqrt(xc * (xc + 4))
-    lambdas = (s, -s, (xc + t) / 2, (xc - t) / 2)
-    return xc, s, t, lambdas
-
-
-def _finalize(value: complex, x: complex | float, quad: RootQuad) -> complex | float:
-    for res, lam in zip(quad.residuals(), quad.lambdas):
-        if res > _ROOT_RESIDUAL_TOL * (1 + abs(lam) ** 4):
-            raise InternalConsistencyError(
-                f"characteristic root {lam} has residual {res} at x = {x}"
-            )
-    if isinstance(x, complex) and x.imag != 0:
-        return value
-    # real input: the answer is a real polynomial value, so any imaginary
-    # part is roundoff and must be small
-    if abs(value.imag) > _IMAG_REL_TOL * (1 + abs(value)):
-        raise InternalConsistencyError(
-            f"closed form at real x = {x} produced imaginary part {value.imag}"
-        )
-    return value.real
+    # (base, r^2, weight) per pair of roots: the roots are base/2q at r and
+    # at -r, and the path weight is their alpha scaled by 2q^2(x + 4)
+    pairs = (
+        ((0, 0, 2, 0), (-a * q, -b * q), (2 * q * q, 0, a + 3 * q, b)),
+        (
+            (a, b, 1, 0),
+            (a * (a + 4 * q) - b * b, b * (2 * a + 4 * q)),
+            (q * (a + 2 * q), q * b, q, 0),
+        ),
+    )
+    num_re = num_im = 0
+    for base, r2, weight in pairs:
+        power = base
+        for bit in bin(n)[3:]:
+            power = _ring_mul(power, power, r2)
+            if bit == "1":
+                power = _ring_mul(power, base, r2)
+        if path:
+            power = _ring_mul(weight, power, r2)
+        num_re += power[0]
+        num_im += power[1]
+    if not path:
+        # twice the rational parts over (2q)^n
+        return _round_parts(num_re, num_im, 2 ** (n - 1) * q**n, x)
+    # twice the rational parts over 2q^2(x + 4)(2q)^n; times conj(X + 4q)
+    c, d = a + 4 * q, -b
+    den = q * (c * c + d * d) * (2 * q) ** n
+    return _round_parts(num_re * c - num_im * d, num_re * d + num_im * c, den, x)
 
 
 def path_closed_eval(n: int, x: complex | float) -> complex | float:
     """D_t(P_n, x) from the root expansion; real for real x, x not in {0, -4}."""
     if n < 1:
         raise ValueError("path order must be positive")
-    quad = RootQuad.for_path(x)
-    return _finalize(quad.value_at(n), x, quad)
+    return _root_sum(n, x, path=True)
 
 
 def cycle_closed_eval(n: int, x: complex | float) -> complex | float:
     """D_t(C_n, x) as the power sum of the four roots; x not in {0, -4}."""
     if n < 3:
         raise ValueError("cycle order must be at least 3")
-    quad = RootQuad.for_cycle(x)
-    return _finalize(quad.value_at(n), x, quad)
+    return _root_sum(n, x, path=False)
 
 
 def path_at_minus_one(n: int) -> int:
@@ -177,8 +159,9 @@ def verify_closed_forms(
 ) -> VerificationReport:
     """Closed forms against exact recurrence values on a grid of points.
 
-    The exact polynomial is evaluated with integer/float Horner; the closed
-    form must land within rel_tol relative error at every (n, x).
+    The recurrence's polynomial is evaluated by ``IntPoly.evaluate``; the
+    closed form must land within rel_tol relative error at every (n, x).
+    Both round the same exact value once, so they agree to the bit.
     """
     report = VerificationReport(
         "closedform", {"n_max": n_max, "points": list(points), "rel_tol": rel_tol}

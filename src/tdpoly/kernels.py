@@ -22,8 +22,10 @@ low half. Wide high halves have far fewer distinct keys than sub-masks
 high sub-masks on (n >= 13) each distinct key is paired once. A weight table
 counts the sub-masks of each high size behind each key, and one small
 integer product per block folds the key's hits into a (high size, low size)
-table. Narrower calls cost mostly numpy call overhead, which grouping would
-raise by about half, so they pair every sub-mask.
+table. Keys that can never hit, with the marker bit (see ``_half``) or an
+at-least need above what the low half holds, are dropped before pairing.
+Narrower calls cost mostly numpy call overhead, which grouping would raise
+by about half, so they pair every sub-mask.
 """
 
 from __future__ import annotations
@@ -80,6 +82,14 @@ def _half(nbr, start, stop, required, forbidden, al_masks):
     return cover, sizes, starts, [np.bitwise_count(masks & m) for m in al_masks]
 
 
+def _live_keys(cover_hi, needs_hi, inside_lo, full):
+    """High keys without the marker bit that need no more than the low half holds."""
+    live = cover_hi <= full  # the marker bit n is the only bit above full
+    for inside, need in zip(inside_lo, needs_hi):
+        live &= need <= inside.max()
+    return live
+
+
 def size_counts(
     neighbor_masks: np.ndarray,
     required: int = 0,
@@ -130,6 +140,9 @@ def size_counts(
         width = n - split + 1  # high sizes 0..n-split
         weight = np.bincount(key_of * width + size_hi, minlength=cover_hi.size * width)
         weight = weight.reshape(-1, width)
+        live = _live_keys(cover_hi, needs_hi, inside_lo, full)
+        if not live.all():  # unconditioned calls keep every key; skip the copies
+            cover_hi, weight, needs_hi = cover_hi[live], weight[live], [k[live] for k in needs_hi]
         table = np.zeros((width, split + 1), dtype=np.int64)
     step = max(1, _BLOCK >> split)
     for s in range(0, cover_hi.size, step):

@@ -92,25 +92,14 @@ class IntPoly:
             for c in reversed(self._coeffs):
                 acc = acc * point + c
             return acc
-        z = complex(point)
-        try:
-            (re, re_den), (im, im_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-        except (ValueError, OverflowError):
-            raise ValueError(f"evaluation point {point!r} is not finite") from None
-        q = max(re_den, im_den)  # both are powers of two
-        a, b = re * (q // re_den), im * (q // im_den)
+        a, b, q = _binary_point(point)
         # sum c_i (a + bi)^i q^(d - i) over the Gaussian integers; d = degree
         acc_re = acc_im = 0
         scale = 1
         for c in reversed(self._coeffs):
             acc_re, acc_im = acc_re * a - acc_im * b + c * scale, acc_re * b + acc_im * a
             scale *= q
-        den = scale // q if self._coeffs else 1
-        try:
-            value_re, value_im = acc_re / den, acc_im / den
-        except OverflowError:
-            raise ValueError(f"value at {point!r} is beyond the float range") from None
-        return complex(value_re, value_im) if isinstance(point, complex) else value_re
+        return _round_parts(acc_re, acc_im, scale // q if self._coeffs else 1, point)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -192,10 +181,27 @@ def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def coeffwise_le(p: IntPoly, q: IntPoly) -> bool:
-    """True when every coefficient of p is <= the matching coefficient of q."""
-    top = max(len(p.coeffs), len(q.coeffs))
-    return all(p.coeff(i) <= q.coeff(i) for i in range(top))
+def _binary_point(point) -> tuple[int, int, int]:
+    """(a, b, q) with point == (a + bi) / q exactly, q a power of two; ValueError if not finite."""
+    z = complex(point)
+    try:
+        (re, re_den), (im, im_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    except (ValueError, OverflowError):
+        raise ValueError(f"evaluation point {point!r} is not finite") from None
+    q = max(re_den, im_den)  # both are powers of two
+    return re * (q // re_den), im * (q // im_den), q
+
+
+def _round_parts(re: int, im: int, den: int, point) -> complex | float:
+    """(re + im*i) / den, den > 0, rounded once per part: complex for a complex point, else real.
+
+    ValueError when a part is beyond the float range.
+    """
+    try:
+        value_re, value_im = re / den, im / den
+    except OverflowError:
+        raise ValueError(f"value at {point!r} is beyond the float range") from None
+    return complex(value_re, value_im) if isinstance(point, complex) else value_re
 
 
 def ensure_valid_tdp(p: IntPoly, order: int | None = None) -> IntPoly:

@@ -115,6 +115,12 @@ def holds_for(cond, w):
     return True
 
 
+def coeffwise_le(p, q):
+    """True when every coefficient of p is <= the matching coefficient of q."""
+    top = max(len(p.coeffs), len(q.coeffs))
+    return all(p.coeff(i) <= q.coeff(i) for i in range(top))
+
+
 def pairwise_minimal_flags(polys):
     """For each polynomial, whether it is coefficient-wise <= every member (k^2 pairs)."""
     width = max((len(p.coeffs) for p in polys), default=0)

@@ -34,7 +34,7 @@ from tdpoly.graph import (
     two_corona,
 )
 from tdpoly.oracle import brute_force_tdp, gamma_t
-from tdpoly.polynomial import IntPoly, coeffwise_le
+from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import (
     cycle_tdp,
     path_tdp,
@@ -45,6 +45,7 @@ from tdpoly.reduction import (
 )
 
 from acceptance_log import record
+from helpers import coeffwise_le
 
 SEED = 42
 

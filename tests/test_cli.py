@@ -278,6 +278,14 @@ def test_verify_recurrence_suite(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("n_max", ["60", "200"])
+def test_verify_closedform_suite_at_long_orders(capsys, n_max):
+    # x = -2 made the float closed form fail at n = 57, 59, 60 and exit 4 by 200
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "closedform", "--n-max", n_max])
+    assert code == 0
+    assert '"passed":true' in out
+
+
 def test_verify_minus_one_suite(capsys):
     code, out, _ = run_cli(
         capsys, ["verify", "--suite", "minus-one", "--n-max", "20", "--trials", "20"]

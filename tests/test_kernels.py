@@ -47,6 +47,10 @@ def test_kernel_matches_naive_under_random_conditions():
             forbidden = low if trial % 8 == 0 else ((1 << n) - 1) & ~low
             required &= ~forbidden
         atoms = [(rng.getrandbits(n), rng.randint(0, 3)) for _ in range(rng.randint(0, 2))]
+        if n >= 13 and trial % 3 == 0:
+            # an atom wholly in the grouped high half: a key is live only
+            # when its own members meet the minimum (need <= 0)
+            atoms.append((rng.getrandbits(n) & ~low | 1 << (n - 1), rng.randint(1, 3)))
 
         def keep(w):
             mask = sum(1 << bit[v] for v in w)
@@ -68,6 +72,20 @@ def test_kernel_matches_naive_under_random_conditions():
             # the plain grouped path is checked by the frozen counts below
             gamma = naive_gamma(g)
             assert first_dominating_size(nbr) == (-1 if gamma is None else gamma)
+
+
+def test_dead_high_keys_are_dropped():
+    full = (1 << 6) - 1
+    cover = np.array([full, full | 1 << 6, 5, 7], dtype=np.int64)
+    inside_lo = [np.array([0, 1, 2])]  # the low half meets the atom at most twice
+    needs = [np.array([2, 0, 3, -1])]
+    # the second key carries the marker bit, the third needs 3 > 2 members
+    assert kernels._live_keys(cover, needs, inside_lo, full).tolist() == [True, False, False, True]
+    # P_20 with its last vertex required: the high half's sub-masks without
+    # it are dead, which leaves 189 of its 441 distinct keys
+    keys = np.unique(kernels._half(masks_of(path_graph(20)), 10, 20, 1 << 19, 0, [])[0])
+    assert keys.size == 441
+    assert kernels._live_keys(keys, [], [], (1 << 20) - 1).sum() == 189
 
 
 def distinct_high_covers(nbr):

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpoly.errors import InternalConsistencyError
-from tdpoly.polynomial import IntPoly, coeffwise_le, ensure_valid_tdp
+from tdpoly.polynomial import IntPoly, ensure_valid_tdp
 
 from tdpoly.reduction import cycle_tdp
 
-from helpers import fraction_horner, poly_arith
+from helpers import coeffwise_le, fraction_horner, poly_arith
 
 X2 = IntPoly.monomial(2)
 P4 = IntPoly((0, 0, 1, 2, 1))  # x^4 + 2x^3 + x^2

@@ -68,6 +68,18 @@ _VERIFY_DEFAULTS = {
     "minus-one": (60, 500),
 }
 
+# The smallest order each suite checks: a smaller --n-max (--n for scan)
+# would run no instance and pass vacuously, so it is a usage error.
+_SMALLEST_ORDER = {
+    "theorem1": 2,
+    "theorem3": 2,
+    "claim1": 5,
+    "prop1": 2,
+    "recurrence": 1,
+    "closedform": 1,
+    "degree2": 2,
+}
+
 _SCAN_DEFAULT_TRIALS = {
     "tree-bound": 0,
     "minimal-tree": 0,
@@ -342,6 +354,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_smallest_order(args: argparse.Namespace, flag: str, n: int) -> None:
+    smallest = _SMALLEST_ORDER.get(args.suite)
+    if smallest is not None and n < smallest:
+        raise ValueError(
+            f"{args.subcommand} --suite {args.suite} starts at n = {smallest}; got {flag} {n}"
+        )
+
+
 def _verify_corpus(trials: int, n_max: int, seed: int) -> list[Graph]:
     return fixed_small_corpus() + random_connected_corpus(trials, n_max, seed)
 
@@ -361,6 +381,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max if args.n_max is not None else default_n
     trials = args.trials if args.trials is not None else default_trials
     seed = args.seed
+    _check_smallest_order(args, "--n-max", n_max)
     params = {"n_max": n_max, "trials": trials, "seed": seed}
 
     if args.suite == "theorem1":
@@ -393,6 +414,7 @@ def _scan_passed(suite: str, report: ScanReport) -> bool:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     trials = args.trials if args.trials is not None else _SCAN_DEFAULT_TRIALS[args.suite]
+    _check_smallest_order(args, "--n", args.n)
     if args.suite == "tree-bound":
         report = scan_tree_bound(args.n)
     elif args.suite == "minimal-tree":

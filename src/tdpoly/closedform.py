@@ -98,12 +98,14 @@ def path_at_minus_one(n: int) -> int:
     """Exact D_t(P_n, -1) in {0, 1} by the period-6 residue rule.
 
     Cross-checked against the equivalent trigonometric expression
-    (2 + cos(2n*pi/3) - sqrt(3)*sin(2n*pi/3)) / 3 on every call.
+    (2 + cos(2n*pi/3) - sqrt(3)*sin(2n*pi/3)) / 3 on every call. The
+    expression has period 3 in n, so it is taken at n mod 3, where the
+    float angle is exact enough for any n.
     """
     if n < 1:
         raise ValueError("path order must be positive")
     value = _PATH_MINUS_ONE[n % 6]
-    angle = 2 * math.pi * n / 3
+    angle = 2 * math.pi * (n % 3) / 3
     trig = (2 + math.cos(angle) - math.sqrt(3) * math.sin(angle)) / 3
     if abs(trig - value) > 1e-9:
         raise InternalConsistencyError(

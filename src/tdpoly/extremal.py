@@ -501,7 +501,7 @@ def verify_basic_identities(graphs: Iterable[Graph], params: dict | None = None)
             with_v = brute_force_tdp_conditioned(g, Condition.member(v))
             without_v = brute_force_tdp_conditioned(g, Condition.intersect_empty([v]))
             report.record(text, f"membership-partition v={v}", poly, with_v + without_v)
-            hit = brute_force_tdp_conditioned(g, Condition.intersect_at_least(g.neighbors(v), 1))
+            hit = brute_force_tdp_conditioned(g, Condition.intersect_nonempty(g.neighbors(v)))
             missed = brute_force_tdp_conditioned(g, Condition.intersect_empty(g.neighbors(v)))
             report.record(text, f"neighborhood-partition v={v}", poly, hit + missed)
     return report

@@ -2,8 +2,11 @@
 
 A set W totally dominates G when every live vertex (members of W included)
 has at least one neighbor inside W. The plain and conditioned polynomial
-builders enumerate all 2^n subsets through the kernels module and therefore
-refuse graphs beyond the 26-bit budget rather than degrade.
+builders enumerate the subsets through the kernels module and therefore
+refuse graphs beyond the 26-bit budget rather than degrade. Conditions
+(``Member``, ``IntersectEmpty``, ``IntersectNonempty``) are compiled here into
+the kernel's two inputs, candidate masks and a cover target; the kernel
+itself knows only covers.
 
 Convention: the empty graph gets the zero polynomial here. The "empty graph
 counts as 1" reading exists only inside the reduction engine's indicator
@@ -44,18 +47,16 @@ class IntersectEmpty:
 
 
 @dataclass(frozen=True)
-class IntersectAtLeast:
-    """Atom: W must meet the set in at least k vertices."""
+class IntersectNonempty:
+    """Atom: W must meet the set in at least one vertex."""
 
     vs: frozenset[int]
-    k: int
 
-    def __init__(self, vs: Iterable[int], k: int):
+    def __init__(self, vs: Iterable[int]):
         object.__setattr__(self, "vs", frozenset(vs))
-        object.__setattr__(self, "k", int(k))
 
 
-Atom = Member | IntersectEmpty | IntersectAtLeast
+Atom = Member | IntersectEmpty | IntersectNonempty
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class Condition:
         return cls((IntersectEmpty(vs),))
 
     @classmethod
-    def intersect_at_least(cls, vs: Iterable[int], k: int) -> "Condition":
-        return cls((IntersectAtLeast(vs, k),))
+    def intersect_nonempty(cls, vs: Iterable[int]) -> "Condition":
+        return cls((IntersectNonempty(vs),))
 
     def __and__(self, other: "Condition") -> "Condition":
         return Condition(self.atoms + other.atoms)
@@ -86,53 +87,11 @@ class Condition:
 ALWAYS = Condition()
 
 
-def _bit_layout(g: Graph) -> tuple[dict[int, int], np.ndarray]:
-    """Compress live labels to bit positions; return label->bit and neighbor masks."""
-    bit = {v: i for i, v in enumerate(g.vertices)}
-    nbr = np.zeros(g.order, dtype=np.int64)
-    for v in g.vertices:
-        m = 0
-        for w in g.neighbors(v):
-            m |= 1 << bit[w]
-        nbr[bit[v]] = m
-    return bit, nbr
-
-
 def _check_budget(g: Graph) -> None:
     if g.order > MAX_ENUM_ORDER:
         raise BudgetError(
             f"brute-force enumeration capped at {MAX_ENUM_ORDER} vertices, graph has {g.order}"
         )
-
-
-def _compile_condition(cond: Condition, bit: dict[int, int]):
-    required = 0
-    forbidden = 0
-    al_masks: list[int] = []
-    al_mins: list[int] = []
-
-    def bits_of(vs: Iterable[int]) -> int:
-        m = 0
-        for v in vs:
-            if v not in bit:
-                raise ValueError(f"condition references vertex {v}, not live in the graph")
-            m |= 1 << bit[v]
-        return m
-
-    for atom in cond.atoms:
-        if isinstance(atom, Member):
-            required |= bits_of((atom.v,))
-        elif isinstance(atom, IntersectEmpty):
-            forbidden |= bits_of(atom.vs)
-        else:
-            al_masks.append(bits_of(atom.vs))
-            al_mins.append(atom.k)
-    return (
-        required,
-        forbidden,
-        np.array(al_masks, dtype=np.int64),
-        np.array(al_mins, dtype=np.int64),
-    )
 
 
 def brute_force_tdp(g: Graph) -> IntPoly:
@@ -145,28 +104,61 @@ def brute_force_tdp(g: Graph) -> IntPoly:
 
 
 def brute_force_tdp_conditioned(g: Graph, cond: Condition) -> IntPoly:
-    """Generating function of totally dominating sets satisfying the condition."""
-    _check_budget(g)
-    if g.order == 0:
-        return IntPoly.zero()
-    bit, nbr = _bit_layout(g)
-    required, forbidden, al_masks, al_mins = _compile_condition(cond, bit)
-    counts = kernels.size_counts(nbr, required, forbidden, al_masks, al_mins)
-    return ensure_valid_tdp(IntPoly(counts.tolist()), g.order)
+    """Generating function of totally dominating sets satisfying the condition.
 
+    The condition becomes candidate masks and a cover target for
+    ``kernels.size_counts``, with live labels compressed to bits 0..n-1:
 
-def gamma_t(g: Graph) -> int | None:
-    """Minimum totally dominating set size; None when no such set exists.
-
-    Equals min_degree(brute_force_tdp(g)): the lowest positive size with a
-    nonzero count in the same subset enumeration.
+    - a required vertex is in every counted set, so it leaves the candidates,
+      its neighbourhood leaves the target and the counts shift up by |R|;
+    - a forbidden vertex leaves the candidates but stays in the target;
+    - each distinct nonempty-atom set is a virtual vertex, bit n + j of the
+      target, adjacent to the atom's vertices, so only a set that meets the
+      atom dominates it;
+    - a vertex both required and forbidden leaves nothing to count.
     """
     _check_budget(g)
     if g.order == 0:
-        return None
-    _, nbr = _bit_layout(g)
-    k = kernels.first_dominating_size(nbr)
-    return None if k < 0 else k
+        return IntPoly.zero()
+    bit = {v: i for i, v in enumerate(g.vertices)}
+
+    def bits_of(vs: Iterable[int]) -> int:
+        m = 0
+        for v in vs:
+            if v not in bit:
+                raise ValueError(f"condition references vertex {v}, not live in the graph")
+            m |= 1 << bit[v]
+        return m
+
+    required = forbidden = 0
+    virtual: dict[int, None] = {}  # distinct nonempty-atom sets, in order
+    for atom in cond.atoms:
+        if isinstance(atom, Member):
+            required |= bits_of((atom.v,))
+        elif isinstance(atom, IntersectEmpty):
+            forbidden |= bits_of(atom.vs)
+        else:
+            virtual[bits_of(atom.vs)] = None
+    if required & forbidden:
+        return IntPoly.zero()
+    n = g.order
+    target = (1 << (n + len(virtual))) - 1
+    candidates = []
+    for v, i in bit.items():
+        m = bits_of(g.neighbors(v))
+        for j, atom in enumerate(virtual):
+            m |= (atom >> i & 1) << (n + j)
+        if required >> i & 1:
+            target &= ~m
+        elif not forbidden >> i & 1:
+            candidates.append(m)
+    counts = kernels.size_counts(np.array(candidates, dtype=np.int64), target)
+    return ensure_valid_tdp(IntPoly(counts.tolist()).shift(required.bit_count()), n)
+
+
+def gamma_t(g: Graph) -> int | None:
+    """Minimum totally dominating set size; None when no such set exists."""
+    return brute_force_tdp(g).min_degree()
 
 
 def tdp_by_components(g: Graph) -> IntPoly:

@@ -153,7 +153,7 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
             if not dominators:
                 feasible = False
                 break
-            cond = cond & Condition.intersect_at_least(dominators, 1)
+            cond = cond & Condition.intersect_nonempty(dominators)
         if feasible:
             rhs = rhs + brute_force_tdp_conditioned(remainder, cond)
     return rhs

@@ -1,7 +1,7 @@
 import pytest
 
 from tdpoly.graph import path_graph
-from tdpoly.oracle import brute_force_tdp, gamma_t
+from tdpoly.oracle import brute_force_tdp
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -10,11 +10,11 @@ def warm_kernels():
 
     This pays numpy's first-call costs and builds the kernel's cached
     half-tables for the small orders. P_14 is wide enough for the kernel to
-    group its high half by distinct key, so np.unique's first call is paid
-    here too, not by the first kernel test.
+    group its high half by distinct cover, so np.unique's first call is paid
+    here too, not by the first kernel test. ``gamma_t`` is the same
+    enumeration, so it needs no warm-up of its own.
     """
     brute_force_tdp(path_graph(4))
-    gamma_t(path_graph(4))
     brute_force_tdp(path_graph(14))
 
 

@@ -109,9 +109,8 @@ def holds_for(cond, w):
         elif isinstance(atom, IntersectEmpty):
             if w & atom.vs:
                 return False
-        else:
-            if len(w & atom.vs) < atom.k:
-                return False
+        elif not w & atom.vs:
+            return False
     return True
 
 

@@ -429,6 +429,38 @@ def test_scan_byte_identity_for_fixed_seed(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "argv, smallest",
+    [
+        (["verify", "--suite", "claim1", "--n-max", "3"], 5),
+        (["verify", "--suite", "closedform", "--n-max", "0"], 1),
+        (["verify", "--suite", "recurrence", "--n-max", "0"], 1),
+        (["verify", "--suite", "theorem1", "--n-max", "1"], 2),
+        (["verify", "--suite", "theorem3", "--n-max", "1"], 2),
+        (["verify", "--suite", "prop1", "--n-max", "1"], 2),
+        (["scan", "--suite", "degree2", "--n", "1"], 2),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_orders_below_a_suite_exit_2(capsys, argv, smallest):
+    # a suite that would check no instance must not report a pass
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    sub, _, suite, flag, n = argv
+    assert err == f"error: {sub} --suite {suite} starts at n = {smallest}; got {flag} {n}\n"
+
+
+def test_smallest_orders_still_run(capsys):
+    for argv in (
+        ["verify", "--suite", "claim1", "--n-max", "5"],
+        ["verify", "--suite", "closedform", "--n-max", "1"],
+        ["verify", "--suite", "recurrence", "--n-max", "1"],
+    ):
+        code, out, _ = run_cli(capsys, argv)
+        report = json.loads(out)
+        assert code == 0 and report["passed"] and report["instances"] > 0
+
+
 # -- exit codes -----------------------------------------------------------------
 
 

@@ -112,6 +112,15 @@ def test_path_at_minus_one_residue_table():
         path_at_minus_one(0)
 
 
+def test_path_at_minus_one_huge_orders():
+    # 10^12 = 4, 10^12 + 1 = 5 and 10^15 + 2 = 0 mod 6; P_4, P_5 and P_6
+    # take the values 0, 1 and 1 at -1. The trigonometric cross-check is
+    # taken at n mod 3, so it holds at any order.
+    assert path_at_minus_one(10**12) == 0
+    assert path_at_minus_one(10**12 + 1) == 1
+    assert path_at_minus_one(10**15 + 2) == 1
+
+
 def test_star_tdp_binomial_coefficients():
     assert star_tdp(2) == IntPoly((0, 0, 1))
     assert star_tdp(4) == IntPoly((0, 0, 3, 3, 1))

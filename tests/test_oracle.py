@@ -24,7 +24,7 @@ from tdpoly.oracle import (
 )
 from tdpoly.polynomial import IntPoly
 
-from helpers import holds_for, is_total_dominating, naive_tdp, naive_tdp_filtered
+from helpers import holds_for, is_total_dominating, naive_gamma, naive_tdp, naive_tdp_filtered
 
 # Exact polynomials for the smallest paths and cycles; every engine in the
 # package must reproduce these.
@@ -118,7 +118,7 @@ def test_condition_atom_on_dead_vertex_rejected():
 
 
 def test_condition_holds_for():
-    cond = Condition.member(1) & Condition.intersect_at_least([2, 3], 1)
+    cond = Condition.member(1) & Condition.intersect_nonempty([2, 3])
     assert holds_for(cond, {1, 2})
     assert not holds_for(cond, {1})
     assert not holds_for(cond, {2, 3})
@@ -134,6 +134,21 @@ def test_gamma_examples():
 def test_gamma_equals_polynomial_min_degree():
     for g in (path_graph(5), cycle_graph(7), star_graph(4)):
         assert gamma_t(g) == brute_force_tdp(g).min_degree()
+
+
+def test_gamma_t_matches_naive():
+    for g in (path_graph(5), cycle_graph(6), star_graph(4)):
+        assert gamma_t(g) == naive_gamma(g)
+
+
+def test_gamma_t_none():
+    # two isolated vertices: no neighborhood ever covers them
+    assert gamma_t(Graph([0, 1])) is None
+    assert naive_gamma(Graph([0, 1])) is None
+
+
+def test_gamma_t_empty_graph():
+    assert gamma_t(Graph([])) is None
 
 
 def test_component_product_law():

@@ -5,6 +5,13 @@ eval (values at points), verify (identity suites), scan (extremal scans).
 Output is deterministic for a fixed request and seed; elapsed time is only
 emitted when --timing is passed, precisely so byte-identity holds without it.
 
+verify and scan share one runner. Each suite is one row of _SUITES, keyed by
+subcommand and suite name: its runner(order, trials, seed), default order,
+default trials and smallest order; the --suite choices come from that table.
+An order below the smallest, or a negative --trials, is a usage error. A
+verify suite passes when it records no failure, a scan when every summary
+flag its report names in `checks` holds.
+
 Exit codes: 0 success, 1 a verify/scan suite found failures, 2 usage or
 parse error (an evaluation beyond the float range included), 3 enumeration
 budget exceeded, 4 internal inconsistency or any other unexpected error.
@@ -18,6 +25,7 @@ import re
 import sys
 import time
 from functools import cache
+from typing import Callable, NamedTuple
 
 from .closedform import verify_closed_forms, verify_minus_one
 from .errors import BudgetError, GraphParseError, InternalConsistencyError
@@ -57,34 +65,45 @@ from .reports import ScanReport, VerificationReport
 
 DEFAULT_SEED = 42
 
-_VERIFY_DEFAULTS = {
-    # suite: (n_max, trials)
-    "theorem1": (10, 100),
-    "theorem3": (10, 100),
-    "claim1": (14, 0),
-    "prop1": (10, 50),
-    "recurrence": (18, 0),
-    "closedform": (30, 0),
-    "minus-one": (60, 500),
+
+class _Suite(NamedTuple):
+    run: Callable[[int, int, int], VerificationReport | ScanReport]  # (order, trials, seed)
+    n: int | None  # default order; None where the order flag is required
+    trials: int  # default trials
+    smallest: int | None  # a smaller order would check nothing and pass vacuously
+
+
+def _params(n: int, trials: int, seed: int) -> dict:
+    return {"n_max": n, "trials": trials, "seed": seed}
+
+
+# subcommand -> suite -> how to run it. The runners look their suite
+# functions up at call time, so a rebinding of those names (as a tracer does)
+# reaches them.
+_SUITES: dict[str, dict[str, _Suite]] = {
+    "verify": {
+        "theorem1": _Suite(lambda n, t, s: verify_vertex_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2),
+        "theorem3": _Suite(lambda n, t, s: verify_edge_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2),
+        "claim1": _Suite(lambda n, t, s: verify_conditioned_path_recurrence(n_max=n), 14, 0, 5),
+        "prop1": _Suite(lambda n, t, s: verify_basic_identities(_prop1_corpus(t, n, s), _params(n, t, s)), 10, 50, 2),
+        "recurrence": _Suite(lambda n, t, s: verify_recurrences(n_max=n), 18, 0, 1),
+        "closedform": _Suite(lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1),
+        # stars and forests run at any --n-max; only the path checks need one
+        "minus-one": _Suite(lambda n, t, s: verify_minus_one(path_n_max=n, forest_trials=t, seed=s), 60, 500, None),
+    },
+    "scan": {
+        "tree-bound": _Suite(lambda n, t, s: scan_tree_bound(n), None, 0, 2),
+        "minimal-tree": _Suite(lambda n, t, s: minimal_tree_scan(n), None, 0, 2),
+        "degree2": _Suite(lambda n, t, s: scan_degree2(t, n, s), None, 200, 2),
+        "gamma-bounds": _Suite(lambda n, t, s: scan_gamma_bounds(gamma_scan_corpus(t, n, s), _params(n, t, s)), None, 30, 3),
+    },
 }
 
-# The smallest order each suite checks: a smaller --n-max (--n for scan)
-# would run no instance and pass vacuously, so it is a usage error.
-_SMALLEST_ORDER = {
-    "theorem1": 2,
-    "theorem3": 2,
-    "claim1": 5,
-    "prop1": 2,
-    "recurrence": 1,
-    "closedform": 1,
-    "degree2": 2,
-}
-
-_SCAN_DEFAULT_TRIALS = {
-    "tree-bound": 0,
-    "minimal-tree": 0,
-    "degree2": 200,
-    "gamma-bounds": 30,
+# family name -> (maker, smallest order); makers are looked up at call time too
+_FAMILIES = {
+    "path": (lambda n: path_graph(n), 1),
+    "cycle": (lambda n: cycle_graph(n), 3),
+    "star": (lambda n: star_graph(n), 2),
 }
 
 
@@ -96,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (GraphParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -128,67 +147,49 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_graph_source(p: argparse.ArgumentParser) -> None:
         p.add_argument("--in", dest="infile", metavar="FILE", help="edge-list file")
-        p.add_argument(
-            "--family", choices=("path", "cycle", "star", "two-corona"), help="named family"
-        )
+        p.add_argument("--family", choices=(*_FAMILIES, "two-corona"), help="named family")
         p.add_argument("--n", type=int, help="family order parameter")
         p.add_argument("--base", metavar="FILE", help="base graph file (two-corona only)")
 
+    def add_output_options(p: argparse.ArgumentParser, timing_help: str | None = None) -> None:
+        p.add_argument("--method", choices=("auto", "brute", "tree", "recurrence"), default="auto")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--timing", action="store_true", help=timing_help)
+
     p_poly = sub.add_parser("poly", help="compute one polynomial")
     add_graph_source(p_poly)
-    p_poly.add_argument("--method", choices=("auto", "brute", "tree", "recurrence"), default="auto")
-    p_poly.add_argument("--format", choices=("json", "text"), default="json")
-    p_poly.add_argument("--timing", action="store_true", help="include elapsed milliseconds")
+    add_output_options(p_poly, "include elapsed milliseconds")
+    p_poly.set_defaults(run=_cmd_poly, at=None)
 
     p_family = sub.add_parser("family", help="tabulate a family over an order range")
-    p_family.add_argument("--family", choices=("path", "cycle", "star"), required=True)
+    p_family.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p_family.add_argument("--n-min", type=int, required=True)
     p_family.add_argument("--n-max", type=int, required=True)
-    p_family.add_argument("--method", choices=("auto", "brute", "tree", "recurrence"), default="auto")
-    p_family.add_argument("--format", choices=("json", "text"), default="json")
-    p_family.add_argument("--timing", action="store_true")
+    add_output_options(p_family)
+    p_family.set_defaults(run=_cmd_family)
 
     p_eval = sub.add_parser("eval", help="evaluate at one or more points")
     add_graph_source(p_eval)
     p_eval.add_argument("--at", nargs="+", required=True, metavar="POINT",
                         help="evaluation points; complex accepted as a+bi")
-    p_eval.add_argument("--method", choices=("auto", "brute", "tree", "recurrence"), default="auto")
-    p_eval.add_argument("--format", choices=("json", "text"), default="json")
-    p_eval.add_argument("--timing", action="store_true")
+    add_output_options(p_eval)
+    p_eval.set_defaults(run=_cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run a differential identity suite")
-    p_verify.add_argument(
-        "--suite",
-        choices=("theorem1", "theorem3", "claim1", "prop1", "recurrence", "closedform", "minus-one"),
-        required=True,
-    )
-    p_verify.add_argument("--n-max", type=int)
+    p_verify.add_argument("--suite", choices=tuple(_SUITES["verify"]), required=True)
+    p_verify.add_argument("--n-max", dest="n", metavar="N_MAX", type=int)
     p_verify.add_argument("--trials", type=int)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.set_defaults(run=_cmd_suite, order_flag="--n-max", format="json")
 
     p_scan = sub.add_parser("scan", help="run an extremal scan")
-    p_scan.add_argument(
-        "--suite", choices=("tree-bound", "minimal-tree", "degree2", "gamma-bounds"), required=True
-    )
+    p_scan.add_argument("--suite", choices=tuple(_SUITES["scan"]), required=True)
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--trials", type=int)
     p_scan.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
+    p_scan.set_defaults(run=_cmd_suite, order_flag="--n")
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.subcommand == "poly":
-        return _cmd_poly(args)
-    if args.subcommand == "family":
-        return _cmd_family(args)
-    if args.subcommand == "eval":
-        return _cmd_eval(args)
-    if args.subcommand == "verify":
-        return _cmd_verify(args)
-    if args.subcommand == "scan":
-        return _cmd_scan(args)
-    raise ValueError(f"unknown subcommand {args.subcommand!r}")
 
 
 # -- graph sources -------------------------------------------------------------
@@ -215,7 +216,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         raise ValueError("--base only applies to --family two-corona")
     if args.n is None:
         raise ValueError(f"--family {args.family} requires --n")
-    maker = {"path": path_graph, "cycle": cycle_graph, "star": star_graph}[args.family]
+    maker, _ = _FAMILIES[args.family]
     return maker(args.n)
 
 
@@ -246,11 +247,6 @@ def compute_poly(g: Graph, method: str) -> tuple[IntPoly, str]:
 def make_envelope(g: Graph, poly: IntPoly, method: str) -> dict:
     gamma = poly.min_degree()
     return {"n": g.order, "method": method, "gamma_t": gamma, "coeffs": poly.to_coeff_strings()}
-
-
-def envelope_to_poly(envelope: dict) -> IntPoly:
-    """Inverse of the coeffs part of make_envelope (round-trip contract)."""
-    return IntPoly.from_coeff_strings(envelope["coeffs"])
 
 
 def _envelope_text(env: dict) -> str:
@@ -305,10 +301,15 @@ def _value_for_output(value: int | float | complex):
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
+    """poly, and eval when --at gives points."""
     start = time.perf_counter()
     g = _load_graph(args)
     poly, used = compute_poly(g, args.method)
     env = make_envelope(g, poly, used)
+    if args.at is not None:
+        env["evaluations"] = {
+            token: _value_for_output(poly.evaluate(parse_point(token))) for token in args.at
+        }
     if args.timing:
         env["timing_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     _emit_envelope(env, args.format)
@@ -319,10 +320,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if args.n_min > args.n_max:
         raise ValueError("--n-min must not exceed --n-max")
-    lower = {"path": 1, "cycle": 3, "star": 2}[args.family]
+    maker, lower = _FAMILIES[args.family]
     if args.n_min < lower:
         raise ValueError(f"family {args.family} starts at n = {lower}")
-    maker = {"path": path_graph, "cycle": cycle_graph, "star": star_graph}[args.family]
     items = []
     for n in range(args.n_min, args.n_max + 1):
         g = maker(n)
@@ -340,28 +340,6 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    g = _load_graph(args)
-    poly, used = compute_poly(g, args.method)
-    env = make_envelope(g, poly, used)
-    env["evaluations"] = {
-        token: _value_for_output(poly.evaluate(parse_point(token))) for token in args.at
-    }
-    if args.timing:
-        env["timing_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    _emit_envelope(env, args.format)
-    return 0
-
-
-def _check_smallest_order(args: argparse.Namespace, flag: str, n: int) -> None:
-    smallest = _SMALLEST_ORDER.get(args.suite)
-    if smallest is not None and n < smallest:
-        raise ValueError(
-            f"{args.subcommand} --suite {args.suite} starts at n = {smallest}; got {flag} {n}"
-        )
-
-
 def _verify_corpus(trials: int, n_max: int, seed: int) -> list[Graph]:
     return fixed_small_corpus() + random_connected_corpus(trials, n_max, seed)
 
@@ -376,59 +354,22 @@ def _prop1_corpus(trials: int, n_max: int, seed: int) -> list[Graph]:
     return graphs + extras
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    default_n, default_trials = _VERIFY_DEFAULTS[args.suite]
-    n_max = args.n_max if args.n_max is not None else default_n
-    trials = args.trials if args.trials is not None else default_trials
-    seed = args.seed
-    _check_smallest_order(args, "--n-max", n_max)
-    params = {"n_max": n_max, "trials": trials, "seed": seed}
-
-    if args.suite == "theorem1":
-        report = verify_vertex_reduction(_verify_corpus(trials, n_max, seed), params)
-    elif args.suite == "theorem3":
-        report = verify_edge_reduction(_verify_corpus(trials, n_max, seed), params)
-    elif args.suite == "claim1":
-        report = verify_conditioned_path_recurrence(n_max=n_max)
-    elif args.suite == "prop1":
-        report = verify_basic_identities(_prop1_corpus(trials, n_max, seed), params)
-    elif args.suite == "recurrence":
-        report = verify_recurrences(n_max=n_max)
-    elif args.suite == "closedform":
-        report = verify_closed_forms(n_max=n_max)
-    else:
-        report = verify_minus_one(path_n_max=n_max, forest_trials=trials, seed=seed)
-    print(report.to_json())
-    return 0 if report.passed else 1
-
-
-def _scan_passed(suite: str, report: ScanReport) -> bool:
-    checks = {
-        "tree-bound": ("all_bound_hold", "equality_exactly_stars", "max_attained_only_by_star_poly"),
-        "minimal-tree": (),  # descriptive census; nothing to fail
-        "degree2": ("all_bounds_hold", "all_identities_hold"),
-        "gamma-bounds": ("all_ok",),
-    }[suite]
-    return all(report.summary[key] for key in checks)
-
-
-def _cmd_scan(args: argparse.Namespace) -> int:
-    trials = args.trials if args.trials is not None else _SCAN_DEFAULT_TRIALS[args.suite]
-    _check_smallest_order(args, "--n", args.n)
-    if args.suite == "tree-bound":
-        report = scan_tree_bound(args.n)
-    elif args.suite == "minimal-tree":
-        report = minimal_tree_scan(args.n)
-    elif args.suite == "degree2":
-        report = scan_degree2(trials, args.n, args.seed)
-    else:
-        corpus = gamma_scan_corpus(trials, max(args.n, 3), args.seed)
-        report = scan_gamma_bounds(corpus, {"n_max": args.n, "trials": trials, "seed": args.seed})
+def _cmd_suite(args: argparse.Namespace) -> int:
+    """verify and scan: run the suite named in _SUITES and exit 1 if it failed."""
+    suite = _SUITES[args.subcommand][args.suite]
+    n = suite.n if args.n is None else args.n
+    trials = suite.trials if args.trials is None else args.trials
+    name = f"{args.subcommand} --suite {args.suite}"
+    if suite.smallest is not None and n < suite.smallest:
+        raise ValueError(f"{name} starts at n = {suite.smallest}; got {args.order_flag} {n}")
+    if trials < 0:
+        raise ValueError(f"{name} needs --trials >= 0; got --trials {trials}")
+    report = suite.run(n, trials, args.seed)
     if args.format == "csv":
         print(report.to_csv(), end="")  # to_csv already terminates the last row
     else:
         print(report.to_json())
-    return 0 if _scan_passed(args.suite, report) else 1
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

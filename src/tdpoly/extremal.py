@@ -236,6 +236,7 @@ def scan_tree_bound(n: int) -> ScanReport:
         "max_count_at_one": best_count,
         "max_attained_only_by_star_poly": best_polys == [star_poly],
     }
+    report.checks = ("all_bound_hold", "equality_exactly_stars", "max_attained_only_by_star_poly")
     return report
 
 
@@ -245,7 +246,7 @@ def minimal_tree_scan(n: int) -> ScanReport:
     A polynomial is flagged minimal when it is coefficient-wise <= every
     other distinct polynomial in the scan; at most one polynomial can carry
     the flag. The summary records whether one exists and which, leaving the
-    interpretation to the reader.
+    interpretation to the reader; it has no checks, so the scan always passes.
     """
     poly_of, classes = _tree_census("minimal-tree", n)
     polys = sorted(classes, key=lambda p: p.coeffs)
@@ -358,6 +359,7 @@ def scan_degree2(trials: int, n_max: int, seed: int) -> ScanReport:
         "all_bounds_hold": all_bounds,
         "all_identities_hold": all_identities,
     }
+    report.checks = ("all_bounds_hold", "all_identities_hold")
     return report
 
 
@@ -461,6 +463,7 @@ def scan_gamma_bounds(graphs: Iterable[Graph], params: dict | None = None) -> Sc
         "all_ok": all_ok,
         "equality_instances": equality_count,
     }
+    report.checks = ("all_ok",)
     return report
 
 

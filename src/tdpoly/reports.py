@@ -74,7 +74,8 @@ class ScanReport:
     """Per-instance records of an extremal scan plus a summary block.
 
     Every row carries the numeric facts its own flags were derived from, so
-    a reader can recompute `holds`/`equality` from the row alone.
+    a reader can recompute `holds`/`equality` from the row alone. The scan
+    passes when every summary flag named in `checks` holds.
     """
 
     suite: str
@@ -82,6 +83,11 @@ class ScanReport:
     columns: tuple[str, ...] = ()
     rows: list[dict[str, Any]] = field(default_factory=list)
     summary: dict[str, Any] = field(default_factory=dict)
+    checks: tuple[str, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(self.summary[key] for key in self.checks)
 
     def add_row(self, **values: Any) -> None:
         if tuple(values) != self.columns:

@@ -38,6 +38,11 @@ def fraction_horner(coeffs, re, im=0):
     return acc_re, acc_im
 
 
+def envelope_to_poly(envelope):
+    """The polynomial a CLI JSON envelope carries: inverse of its coeffs part."""
+    return IntPoly.from_coeff_strings(envelope["coeffs"])
+
+
 def union(g1, g2):
     """Union on the labels as given: shared labels merge."""
     return Graph(set(g1.vertices) | set(g2.vertices), set(g1.edges) | set(g2.edges))

@@ -9,13 +9,13 @@ import json
 
 import pytest
 
-from tdpoly import cli, extremal
+from tdpoly import cli, extremal, reduction
 from tdpoly.errors import InternalConsistencyError
 from tdpoly.graph import Graph, cycle_graph, path_graph
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import cycle_tdp, path_tdp
 
-from helpers import fraction_horner
+from helpers import envelope_to_poly, fraction_horner
 
 
 def run_cli(capsys, argv):
@@ -116,7 +116,7 @@ def test_poly_timing_key_only_when_asked(capsys):
 
 def test_envelope_round_trip(capsys):
     _, out, _ = run_cli(capsys, ["poly", "--family", "path", "--n", "4"])
-    assert cli.envelope_to_poly(json.loads(out)) == path_tdp(4)
+    assert envelope_to_poly(json.loads(out)) == path_tdp(4)
 
 
 def test_poly_long_path_uses_tree_engine(capsys):
@@ -125,7 +125,7 @@ def test_poly_long_path_uses_tree_engine(capsys):
     assert code == 0
     env = json.loads(out)
     assert env["method"] == "tree"
-    assert cli.envelope_to_poly(env) == path_tdp(1500)
+    assert envelope_to_poly(env) == path_tdp(1500)
 
 
 def test_compute_poly_method_resolution():
@@ -439,6 +439,10 @@ def test_scan_byte_identity_for_fixed_seed(capsys):
         (["verify", "--suite", "theorem3", "--n-max", "1"], 2),
         (["verify", "--suite", "prop1", "--n-max", "1"], 2),
         (["scan", "--suite", "degree2", "--n", "1"], 2),
+        (["scan", "--suite", "gamma-bounds", "--n", "1"], 3),
+        (["scan", "--suite", "gamma-bounds", "--n", "2"], 3),
+        (["scan", "--suite", "tree-bound", "--n", "1"], 2),
+        (["scan", "--suite", "minimal-tree", "--n", "1"], 2),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -459,6 +463,50 @@ def test_smallest_orders_still_run(capsys):
         code, out, _ = run_cli(capsys, argv)
         report = json.loads(out)
         assert code == 0 and report["passed"] and report["instances"] > 0
+    code, out, _ = run_cli(capsys, ["scan", "--suite", "gamma-bounds", "--n", "3", "--trials", "4"])
+    summary = json.loads(out)["summary"]
+    assert code == 0 and summary["all_ok"] and int(summary["instances"]) > 0
+
+
+SUITE_REQUESTS = [
+    ["verify", "--suite", suite]
+    for suite in ("theorem1", "theorem3", "claim1", "prop1", "recurrence", "closedform", "minus-one")
+] + [
+    ["scan", "--suite", suite, "--n", "4"]
+    for suite in ("tree-bound", "minimal-tree", "degree2", "gamma-bounds")
+]
+
+
+@pytest.mark.parametrize("argv", SUITE_REQUESTS, ids=" ".join)
+def test_negative_trials_exit_2(capsys, argv):
+    # some suites ignored --trials, one echoed it as "forest_trials":"-1"
+    code, out, err = run_cli(capsys, argv + ["--trials", "-1"])
+    assert code == 2 and out == ""
+    assert err == f"error: {' '.join(argv[:3])} needs --trials >= 0; got --trials -1\n"
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    honest = reduction.path_tdp
+    monkeypatch.setattr(reduction, "path_tdp", lambda n: honest(n) + IntPoly.monomial(n + 1))
+    code, out, err = run_cli(capsys, ["verify", "--suite", "recurrence", "--n-max", "4"])
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert [f["param"] for f in report["failures"]] == ["path n=1", "path n=2", "path n=3", "path n=4"]
+
+
+def test_scan_failure_exits_1(capsys, monkeypatch):
+    honest = extremal.gamma_bounds_row
+    monkeypatch.setattr(extremal, "gamma_bounds_row", lambda g: {**honest(g), "upper_ok": False})
+    code, out, err = run_cli(capsys, ["scan", "--suite", "gamma-bounds", "--n", "5", "--trials", "2"])
+    assert code == 1 and err == ""
+    assert json.loads(out)["summary"]["all_ok"] is False
+
+
+def test_descriptive_scan_without_minimal_poly_exits_0(capsys):
+    code, out, _ = run_cli(capsys, ["scan", "--suite", "minimal-tree", "--n", "6"])
+    assert code == 0
+    assert json.loads(out)["summary"]["minimal_exists"] is False
 
 
 # -- exit codes -----------------------------------------------------------------

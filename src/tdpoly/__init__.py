@@ -65,8 +65,6 @@ from .reduction import (
     edge_reduction_rhs,
     indicator_tdp,
     path_tdp,
-    simple_vertex_reduction_applies,
-    simple_vertex_reduction_rhs,
     tree_tdp,
     verify_conditioned_path_recurrence,
     verify_edge_reduction,
@@ -122,8 +120,6 @@ __all__ = [
     "scan_degree2",
     "scan_gamma_bounds",
     "scan_tree_bound",
-    "simple_vertex_reduction_applies",
-    "simple_vertex_reduction_rhs",
     "star_at_minus_one",
     "star_graph",
     "star_tdp",

@@ -7,8 +7,8 @@ emitted when --timing is passed, precisely so byte-identity holds without it.
 
 verify and scan share one runner. Each suite is one row of _SUITES, keyed by
 subcommand and suite name: its runner(order, trials, seed), default order,
-default trials and smallest order; the --suite choices come from that table.
-An order below the smallest, or a negative --trials, is a usage error. A
+default trials, smallest order and fewest trials; the --suite choices come
+from that table. An order or a --trials below those is a usage error. A
 verify suite passes when it records no failure, a scan when every summary
 flag its report names in `checks` holds.
 
@@ -70,7 +70,8 @@ class _Suite(NamedTuple):
     run: Callable[[int, int, int], VerificationReport | ScanReport]  # (order, trials, seed)
     n: int | None  # default order; None where the order flag is required
     trials: int  # default trials
-    smallest: int | None  # a smaller order would check nothing and pass vacuously
+    smallest: int  # a smaller order would check nothing and pass vacuously
+    fewest_trials: int = 0  # likewise for fewer trials
 
 
 def _params(n: int, trials: int, seed: int) -> dict:
@@ -88,13 +89,13 @@ _SUITES: dict[str, dict[str, _Suite]] = {
         "prop1": _Suite(lambda n, t, s: verify_basic_identities(_prop1_corpus(t, n, s), _params(n, t, s)), 10, 50, 2),
         "recurrence": _Suite(lambda n, t, s: verify_recurrences(n_max=n), 18, 0, 1),
         "closedform": _Suite(lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1),
-        # stars and forests run at any --n-max; only the path checks need one
-        "minus-one": _Suite(lambda n, t, s: verify_minus_one(path_n_max=n, forest_trials=t, seed=s), 60, 500, None),
+        "minus-one": _Suite(lambda n, t, s: verify_minus_one(path_n_max=n, forest_trials=t, seed=s), 60, 500, 1),
     },
     "scan": {
         "tree-bound": _Suite(lambda n, t, s: scan_tree_bound(n), None, 0, 2),
         "minimal-tree": _Suite(lambda n, t, s: minimal_tree_scan(n), None, 0, 2),
-        "degree2": _Suite(lambda n, t, s: scan_degree2(t, n, s), None, 200, 2),
+        # every degree2 instance is drawn at random, so 0 trials check nothing
+        "degree2": _Suite(lambda n, t, s: scan_degree2(t, n, s), None, 200, 2, 1),
         "gamma-bounds": _Suite(lambda n, t, s: scan_gamma_bounds(gamma_scan_corpus(t, n, s), _params(n, t, s)), None, 30, 3),
     },
 }
@@ -360,10 +361,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     n = suite.n if args.n is None else args.n
     trials = suite.trials if args.trials is None else args.trials
     name = f"{args.subcommand} --suite {args.suite}"
-    if suite.smallest is not None and n < suite.smallest:
+    if n < suite.smallest:
         raise ValueError(f"{name} starts at n = {suite.smallest}; got {args.order_flag} {n}")
-    if trials < 0:
-        raise ValueError(f"{name} needs --trials >= 0; got --trials {trials}")
+    if trials < suite.fewest_trials:
+        raise ValueError(f"{name} needs --trials >= {suite.fewest_trials}; got --trials {trials}")
     report = suite.run(n, trials, args.seed)
     if args.format == "csv":
         print(report.to_csv(), end="")  # to_csv already terminates the last row

@@ -79,38 +79,6 @@ def vertex_reduction_rhs(g: Graph, u: int) -> IntPoly:
     return rhs
 
 
-def simple_vertex_reduction_applies(g: Graph, u: int) -> bool:
-    """True when the conditioned term of the vertex reduction provably vanishes.
-
-    Either (i) some other vertex's closed neighborhood sits inside N[u] (it
-    cannot be dominated once W avoids N(u)), or (ii) some neighbor of u
-    supports a pendant other than u itself. The "other than u" part
-    matters: a neighbor that is supporting only because u is its pendant
-    stops being supporting in the contraction, and the conditioned term
-    survives (u = end of a path of order 4 is the smallest example).
-    """
-    nu_closed = g.closed_neighborhood(u)
-    for v in g.vertices:
-        if v != u and g.closed_neighborhood(v) <= nu_closed:
-            return True
-    for w in g.neighbors(u):
-        for q in g.neighbors(w):
-            if q != u and g.degree(q) == 1:
-                return True
-    return False
-
-
-def simple_vertex_reduction_rhs(g: Graph, u: int) -> IntPoly:
-    """Three-term vertex reduction, valid when the conditioned term vanishes."""
-    if not simple_vertex_reduction_applies(g, u):
-        raise ValueError(f"short vertex reduction does not apply at vertex {u}")
-    rhs = tdp_by_components(g.delete_vertex(u))
-    rhs = rhs + _X * tdp_by_components(g.contract_vertex(u))
-    for v in sorted(g.neighbors(u)):
-        rhs = rhs + _X2 * indicator_tdp(g.without_closed_neighborhoods([u, v]))
-    return rhs
-
-
 def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
     """Right-hand side of the edge reduction identity at e = uv.
 

@@ -8,14 +8,14 @@ from tdpoly.oracle import brute_force_tdp
 def warm_kernels():
     """Warm the subset kernel once so timed sections measure steady state.
 
-    This pays numpy's first-call costs and builds the kernel's cached
-    half-tables for the small orders. P_14 is wide enough for the kernel to
-    group its high half by distinct cover, so np.unique's first call is paid
-    here too, not by the first kernel test. ``gamma_t`` is the same
-    enumeration, so it needs no warm-up of its own.
+    This pays numpy's first-call costs. P_4 takes the kernel's whole-table
+    path; P_16 is wide enough for the split path, so it pays np.unique's
+    first call and builds the cached bitset layout of an 8-mask low half
+    here, not in the first kernel test. ``gamma_t`` is the same enumeration,
+    so it needs no warm-up of its own.
     """
     brute_force_tdp(path_graph(4))
-    brute_force_tdp(path_graph(14))
+    brute_force_tdp(path_graph(16))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,7 +5,9 @@ API and itertools, never against the package's bitmask kernels, so agreement
 between the two is meaningful evidence rather than a tautology. The tree
 helpers at the end do call the brute-force oracle: what they check is the
 package's bookkeeping around it (labeled trees against unlabeled ones), so
-one oracle call per labeled tree is the reference route.
+one oracle call per labeled tree is the reference route. The three-term
+vertex reduction is built from oracle calls too: the package uses only the
+full identity, and the tests check the shorter form against it.
 """
 
 from fractions import Fraction
@@ -14,8 +16,9 @@ from math import comb
 
 from tdpoly.closedform import star_tdp
 from tdpoly.graph import Graph, all_labeled_trees, is_star_shaped, to_edge_list
-from tdpoly.oracle import Member, IntersectEmpty, brute_force_tdp
+from tdpoly.oracle import Member, IntersectEmpty, brute_force_tdp, tdp_by_components
 from tdpoly.polynomial import IntPoly
+from tdpoly.reduction import indicator_tdp
 
 
 def poly_arith(kind, p, q):
@@ -70,6 +73,18 @@ def naive_counts(g):
     return counts
 
 
+def naive_size_counts(masks, target):
+    """Count, by size, the subsets of the masks whose OR covers every bit of target."""
+    counts = [0] * (len(masks) + 1)
+    for k in range(len(masks) + 1):
+        for sub in combinations(masks, k):
+            cover = 0
+            for m in sub:
+                cover |= m
+            counts[k] += cover & target == target
+    return counts
+
+
 def naive_tdp(g):
     return IntPoly(naive_counts(g))
 
@@ -85,6 +100,38 @@ def naive_tdp_filtered(g, keep):
             if all(adj[v] & chosen for v in verts) and keep(chosen):
                 counts[k] += 1
     return IntPoly(counts)
+
+
+def simple_vertex_reduction_applies(g, u):
+    """True when the conditioned term of the vertex reduction provably vanishes.
+
+    Either (i) some other vertex's closed neighborhood sits inside N[u] (it
+    cannot be dominated once W avoids N(u)), or (ii) some neighbor of u
+    supports a pendant other than u itself. The "other than u" part
+    matters: a neighbor that is supporting only because u is its pendant
+    stops being supporting in the contraction, and the conditioned term
+    survives (u = end of a path of order 4 is the smallest example).
+    """
+    nu_closed = g.closed_neighborhood(u)
+    for v in g.vertices:
+        if v != u and g.closed_neighborhood(v) <= nu_closed:
+            return True
+    for w in g.neighbors(u):
+        for q in g.neighbors(w):
+            if q != u and g.degree(q) == 1:
+                return True
+    return False
+
+
+def simple_vertex_reduction_rhs(g, u):
+    """Three-term vertex reduction, valid when the conditioned term vanishes."""
+    if not simple_vertex_reduction_applies(g, u):
+        raise ValueError(f"short vertex reduction does not apply at vertex {u}")
+    rhs = tdp_by_components(g.delete_vertex(u))
+    rhs = rhs + IntPoly.monomial(1) * tdp_by_components(g.contract_vertex(u))
+    for v in sorted(g.neighbors(u)):
+        rhs = rhs + IntPoly.monomial(2) * indicator_tdp(g.without_closed_neighborhoods([u, v]))
+    return rhs
 
 
 def naive_gamma(g):

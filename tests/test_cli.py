@@ -443,6 +443,8 @@ def test_scan_byte_identity_for_fixed_seed(capsys):
         (["scan", "--suite", "gamma-bounds", "--n", "2"], 3),
         (["scan", "--suite", "tree-bound", "--n", "1"], 2),
         (["scan", "--suite", "minimal-tree", "--n", "1"], 2),
+        (["verify", "--suite", "minus-one", "--n-max", "0"], 1),
+        (["verify", "--suite", "minus-one", "--n-max", "-3"], 1),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -459,6 +461,7 @@ def test_smallest_orders_still_run(capsys):
         ["verify", "--suite", "claim1", "--n-max", "5"],
         ["verify", "--suite", "closedform", "--n-max", "1"],
         ["verify", "--suite", "recurrence", "--n-max", "1"],
+        ["verify", "--suite", "minus-one", "--n-max", "1", "--trials", "2"],
     ):
         code, out, _ = run_cli(capsys, argv)
         report = json.loads(out)
@@ -482,7 +485,17 @@ def test_negative_trials_exit_2(capsys, argv):
     # some suites ignored --trials, one echoed it as "forest_trials":"-1"
     code, out, err = run_cli(capsys, argv + ["--trials", "-1"])
     assert code == 2 and out == ""
-    assert err == f"error: {' '.join(argv[:3])} needs --trials >= 0; got --trials -1\n"
+    fewest = 1 if argv[2] == "degree2" else 0
+    assert err == f"error: {' '.join(argv[:3])} needs --trials >= {fewest}; got --trials -1\n"
+
+
+def test_degree2_without_trials_exits_2(capsys):
+    # degree2 has no fixed corpus: zero trials would check nothing and pass
+    code, out, err = run_cli(capsys, ["scan", "--suite", "degree2", "--n", "6", "--trials", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: scan --suite degree2 needs --trials >= 1; got --trials 0\n"
+    code, out, _ = run_cli(capsys, ["scan", "--suite", "degree2", "--n", "6", "--trials", "1"])
+    assert code == 0 and json.loads(out)["summary"]["instances"] == "1"
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -1,17 +1,18 @@
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
 import tdpoly.kernels as kernels
-from tdpoly.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
+from tdpoly.graph import Graph, cycle_graph, disjoint_union, path_graph, random_tree, star_graph
 from tdpoly.kernels import size_counts
 from tdpoly.oracle import Condition, brute_force_tdp_conditioned
 from tdpoly.polynomial import IntPoly
-from tdpoly.reduction import cycle_tdp, path_tdp
+from tdpoly.reduction import cycle_tdp, path_tdp, tree_tdp
 
-from helpers import holds_for, naive_counts, naive_tdp_filtered
+from helpers import holds_for, naive_counts, naive_size_counts, naive_tdp_filtered
 
 
 def masks_of(g):
@@ -59,9 +60,10 @@ def test_kernel_matches_naive_under_random_conditions():
     # reference enumerates every subset and filters by the condition itself
     rng = random.Random(11)
     for trial in range(140):
-        # every order 1..14: odd orders, n = 1, where the low half is empty,
-        # and n = 13, 14 with at least 13 candidates, so the high half is
-        # grouped by distinct cover under conditions
+        # every order 1..14, with conditions that keep at least 13
+        # candidates at n = 13, 14; conditioned calls wide enough to split
+        # are in test_kernel_matches_naive_masks and
+        # test_kernel_spans_several_blocks
         n = trial % 14 + 1
         labels = sorted(rng.sample(range(3 * n + 5), n))  # gapped labels
         p = rng.uniform(0.2, 0.9)
@@ -85,8 +87,8 @@ def test_uncovered_target_bit_counts_nothing():
     nbr = masks_of(path_graph(4))
     assert size_counts(nbr, full(4)).tolist() == [0, 0, 1, 2, 1]
     assert size_counts(nbr, full(5)).tolist() == [0] * 5
-    # a grouped call (n = 14) as well
-    assert size_counts(masks_of(path_graph(14)), full(15)).tolist() == [0] * 15
+    # a split call (n = 16) as well
+    assert size_counts(masks_of(path_graph(16)), full(17)).tolist() == [0] * 17
 
 
 def distinct_high_covers(nbr):
@@ -103,25 +105,78 @@ def distinct_high_covers(nbr):
     return len(covers)
 
 
+def covers_per_block(n):
+    """How many distinct high covers one block pairs: the block's words over
+    the low half's bitset words, one word or more per sub-mask size."""
+    low = n // 2
+    return kernels._BLOCK // sum(-(-comb(low, s) // 64) for s in range(low + 1))
+
+
+@pytest.mark.parametrize(
+    "n, block",
+    [(kernels._WHOLE_MAX, None), (kernels._WHOLE_MAX + 1, None), (kernels._WHOLE_MAX + 1, 16)],
+    ids=["whole-table", "split", "split-2-covers-per-block"],
+)
+def test_kernel_matches_naive_masks(monkeypatch, n, block):
+    # the widest whole-table call and the narrowest split one, against plain
+    # enumeration: masks over n vertex bits plus 1-5 virtual bits, targets
+    # with holes, so the target's bit count is rarely a multiple of 4. A
+    # 16-word block pairs 2 high covers at a time.
+    if block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+    rng = random.Random(n * 100 + (block or 0))
+    for virtual in range(1, 6):
+        width = n + virtual
+        masks = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(n)]
+        for b in range(width):  # every bit in some mask, so some subset covers
+            if not any(m >> b & 1 for m in masks):
+                masks[rng.randrange(n)] |= 1 << b
+        target = full(width)
+        for b in rng.sample(range(width), rng.randint(1, 3)):
+            target &= ~(1 << b)
+        expected = naive_size_counts(masks, target)
+        assert sum(expected) > 0, (virtual, masks, target)
+        assert size_counts(np.array(masks, dtype=np.int64), target).tolist() == expected, (virtual, masks, target)
+        if block is not None:
+            assert distinct_high_covers([m & target for m in masks]) > covers_per_block(n)
+
+
 def test_kernel_spans_several_blocks():
-    # blocks hold distinct high-half covers, 2^16 >> (n // 2) of them: 64 at
-    # n = 20 and 128 at n = 19, so both graphs below span several blocks
-    p20 = masks_of(path_graph(20))
-    c19 = masks_of(cycle_graph(19))
-    assert distinct_high_covers(p20) > 64
-    assert distinct_high_covers(c19) > 128
-    assert IntPoly(size_counts(p20, full(20)).tolist()) == path_tdp(20)
-    assert IntPoly(size_counts(c19, full(19)).tolist()) == cycle_tdp(19)
-    # a nonempty atom over the whole path is target bit 20, set in every
+    # a block pairs 2^14 bitset words' worth of distinct high covers: 409 at
+    # n = 22 and 23, so both graphs below span several blocks
+    p22 = masks_of(path_graph(22))
+    c23 = masks_of(cycle_graph(23))
+    assert distinct_high_covers(p22) > covers_per_block(22)
+    assert distinct_high_covers(c23) > covers_per_block(23)
+    assert IntPoly(size_counts(p22, full(22)).tolist()) == path_tdp(22)
+    assert IntPoly(size_counts(c23, full(23)).tolist()) == cycle_tdp(23)
+    # a nonempty atom over the whole path is target bit 22, set in every
     # mask: every totally dominating set meets it
-    got = size_counts(p20 | 1 << 20, full(21))
-    assert IntPoly(got.tolist()) == path_tdp(20)
-    # P_10 + P_10 with the second copy (the high half) required whole: x^10 D_t(P_10)
-    two = disjoint_union(path_graph(10), path_graph(10))
+    got = size_counts(p22 | 1 << 22, full(23))
+    assert IntPoly(got.tolist()) == path_tdp(22)
+    # P_15 + P_11 with the P_11 required whole: its bits leave the target,
+    # 15 candidates remain, and the count is x^11 D_t(P_15)
+    two = disjoint_union(path_graph(15), path_graph(11))
     whole = Condition()
-    for v in range(10, 20):
+    for v in range(15, 26):
         whole = whole & Condition.member(v)
-    assert brute_force_tdp_conditioned(two, whole) == path_tdp(10).shift(10)
+    assert brute_force_tdp_conditioned(two, whole) == path_tdp(15).shift(11)
+
+
+def test_sparse_n26_call_memory():
+    # blocks bound a call's temporaries; a random tree has many distinct
+    # high covers, 1152 here, about ten blocks at n = 26
+    nbr = masks_of(random_tree(26, 3))
+    expected = tree_tdp(random_tree(26, 3))
+    size_counts(nbr, full(26))  # builds the cached layout outside the trace
+    tracemalloc.start()
+    try:
+        got = size_counts(nbr, full(26))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert IntPoly(got.tolist()) == expected
+    assert peak <= 1.5 * 2**20
 
 
 def complete_masks(n):
@@ -173,6 +228,9 @@ def test_empty_graph_counts():
     # the empty subset covers the empty target, and nothing else
     assert size_counts(np.zeros(0, dtype=np.int64), 0).tolist() == [1]
     assert size_counts(np.zeros(0, dtype=np.int64), 1).tolist() == [0]
+    # every subset covers the empty target, on both sides of the split
+    for n in (kernels._WHOLE_MAX, kernels._WHOLE_MAX + 2):
+        assert size_counts(masks_of(path_graph(n)), 0).tolist() == [comb(n, i) for i in range(n + 1)]
 
 
 def test_kernel_bit_limit():

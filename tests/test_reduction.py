@@ -20,8 +20,6 @@ from tdpoly.reduction import (
     edge_reduction_rhs,
     indicator_tdp,
     path_tdp,
-    simple_vertex_reduction_applies,
-    simple_vertex_reduction_rhs,
     tree_tdp,
     vertex_reduction_rhs,
     verify_conditioned_path_recurrence,
@@ -30,7 +28,7 @@ from tdpoly.reduction import (
     verify_vertex_reduction,
 )
 
-from helpers import naive_tdp
+from helpers import naive_tdp, simple_vertex_reduction_applies, simple_vertex_reduction_rhs
 
 
 # -- indicator ---------------------------------------------------------------

@@ -47,18 +47,11 @@ from .graph import (
     random_connected_corpus,
     random_connected_graph,
     random_forest,
-    random_tree,
     star_graph,
     to_edge_list,
     two_corona,
 )
-from .oracle import (
-    Condition,
-    brute_force_tdp,
-    brute_force_tdp_conditioned,
-    gamma_t,
-    tdp_by_components,
-)
+from .oracle import brute_force_tdp, gamma_t, tdp_by_components
 from .polynomial import IntPoly, ensure_valid_tdp
 from .reduction import (
     cycle_tdp,
@@ -78,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError",
-    "Condition",
     "Graph",
     "GraphParseError",
     "IntPoly",
@@ -87,7 +79,6 @@ __all__ = [
     "VerificationReport",
     "all_labeled_trees",
     "brute_force_tdp",
-    "brute_force_tdp_conditioned",
     "classify_vertices",
     "cycle_closed_eval",
     "cycle_graph",
@@ -116,7 +107,6 @@ __all__ = [
     "random_connected_corpus",
     "random_connected_graph",
     "random_forest",
-    "random_tree",
     "scan_degree2",
     "scan_gamma_bounds",
     "scan_tree_bound",

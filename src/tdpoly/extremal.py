@@ -35,7 +35,7 @@ from .graph import (
     to_edge_list,
     two_corona,
 )
-from .oracle import Condition, brute_force_tdp, brute_force_tdp_conditioned, gamma_t, tdp_by_components
+from .oracle import brute_force_tdp, gamma_t, tdp_by_components
 from .polynomial import IntPoly
 from .reports import ScanReport, VerificationReport
 
@@ -477,8 +477,9 @@ def verify_basic_identities(graphs: Iterable[Graph], params: dict | None = None)
     emptiness) forbids total domination; degrees 0 and 1 never contribute;
     the full vertex set dominates iff nothing is isolated; the least degree
     with support is the total domination number; components multiply; the
-    supporting-vertex identity pins d_t(G, n-1); and conditioning on any
-    atom partitions the count.
+    supporting-vertex identity pins d_t(G, n-1); and conditioning on a vertex
+    (in W or not) or on its neighbourhood (met or avoided) partitions the
+    count.
     """
     report = VerificationReport("prop1", dict(params or {}))
     for g in graphs:
@@ -492,7 +493,8 @@ def verify_basic_identities(graphs: Iterable[Graph], params: dict | None = None)
         report.record_check(text, "no-support-below-2", low_ok, IntPoly.zero(), IntPoly((poly.coeff(0), poly.coeff(1))))
         top = poly.coeff(g.order) if g.order else 0
         report.record_check(text, "full-set-coefficient", top == int(dominatable), int(dominatable), top)
-        report.record_check(text, "gamma-is-min-degree", gamma_t(g) == poly.min_degree(), gamma_t(g), poly.min_degree())
+        gamma = gamma_t(g)
+        report.record_check(text, "gamma-is-min-degree", gamma == poly.min_degree(), gamma, poly.min_degree())
         report.record(text, "component-product", poly, tdp_by_components(g))
         if dominatable:
             report.record_check(
@@ -501,10 +503,10 @@ def verify_basic_identities(graphs: Iterable[Graph], params: dict | None = None)
             )
         if g.order:
             v = min(g.vertices)
-            with_v = brute_force_tdp_conditioned(g, Condition.member(v))
-            without_v = brute_force_tdp_conditioned(g, Condition.intersect_empty([v]))
+            with_v = brute_force_tdp(g, required=[v])
+            without_v = brute_force_tdp(g, forbidden=[v])
             report.record(text, f"membership-partition v={v}", poly, with_v + without_v)
-            hit = brute_force_tdp_conditioned(g, Condition.intersect_nonempty(g.neighbors(v)))
-            missed = brute_force_tdp_conditioned(g, Condition.intersect_empty(g.neighbors(v)))
+            hit = brute_force_tdp(g, meets=[g.neighbors(v)])
+            missed = brute_force_tdp(g, forbidden=g.neighbors(v))
             report.record(text, f"neighborhood-partition v={v}", poly, hit + missed)
     return report

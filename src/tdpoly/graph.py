@@ -76,9 +76,6 @@ class Graph:
         self._require_live(v)
         return self._adj[v]
 
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.neighbors(v) | {v}
-
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
@@ -328,17 +325,6 @@ def _prufer_decode(seq: Sequence[int], n: int) -> Graph:
     return Graph(range(n), edges)
 
 
-def random_tree(n: int, seed: int) -> Graph:
-    """Uniform random labeled tree on 0..n-1 (Pruefer decode of a seeded RNG)."""
-    if n < 1:
-        raise ValueError("tree order must be at least 1")
-    if n == 1:
-        return Graph([0])
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return _prufer_decode(seq, n)
-
-
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     """Random tree skeleton plus each remaining pair independently with prob. p."""
     if n < 1:
@@ -371,7 +357,7 @@ def all_labeled_trees(n: int) -> Iterator[Graph]:
     if n > MAX_TREE_ENUM_ORDER:
         raise BudgetError(
             f"all_labeled_trees is capped at n <= {MAX_TREE_ENUM_ORDER} "
-            f"({MAX_TREE_ENUM_ORDER}^{MAX_TREE_ENUM_ORDER - 2} decodes); sample with random_tree instead"
+            f"({MAX_TREE_ENUM_ORDER}^{MAX_TREE_ENUM_ORDER - 2} decodes)"
         )
     if n == 1:
         yield Graph([0])

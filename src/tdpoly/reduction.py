@@ -16,7 +16,7 @@ from functools import cache
 from typing import Iterable
 
 from .graph import Graph, cycle_graph, path_graph, to_edge_list
-from .oracle import Condition, brute_force_tdp, brute_force_tdp_conditioned, tdp_by_components
+from .oracle import brute_force_tdp, tdp_by_components
 from .polynomial import IntPoly, _add_coeffs, _mul_coeffs, ensure_valid_tdp
 from .reports import VerificationReport
 
@@ -64,7 +64,8 @@ def vertex_reduction_rhs(g: Graph, u: int) -> IntPoly:
     + sum over v in N(u) of x^2 * indicator(G with N[u], N[v] removed).
 
     Plain terms use the componentwise oracle; the conditioned term is a
-    single conditioned enumeration because its atoms may couple components.
+    single conditioned enumeration because its condition may couple
+    components.
     """
     if not g.is_connected():
         raise ValueError("vertex reduction is stated for connected graphs")
@@ -72,8 +73,7 @@ def vertex_reduction_rhs(g: Graph, u: int) -> IntPoly:
     contracted = g.contract_vertex(u)
     rhs = tdp_by_components(g.delete_vertex(u))
     rhs = rhs + _X * tdp_by_components(contracted)
-    avoided = brute_force_tdp_conditioned(contracted, Condition.intersect_empty(nbrs))
-    rhs = rhs - _ONE_PLUS_X * avoided
+    rhs = rhs - _ONE_PLUS_X * brute_force_tdp(contracted, forbidden=nbrs)
     for v in nbrs:
         rhs = rhs + _X2 * indicator_tdp(g.without_closed_neighborhoods([u, v]))
     return rhs
@@ -94,8 +94,8 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
     x-multiplied terms re-insert the deleted endpoint into the counted set
     (it dominates everything that was cut away); the unit-multiplied terms
     keep the set as is, so the cut-away vertices other than the endpoint
-    still need neighbors in W -- hence the extra intersection atoms. Without
-    those atoms the two unit terms overcount: P_4 at its middle edge is the
+    still need neighbors in W -- hence the extra must-meet sets. Without
+    those sets the two unit terms overcount: P_4 at its middle edge is the
     smallest counterexample. A term whose anchor vertex did not survive is
     0 (the set cannot contain a vertex that is not there); the differential
     suite is what validates these conventions.
@@ -111,19 +111,11 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
         remainder = minus_e.without_closed_neighborhoods([removed])
         if anchor not in remainder:
             continue
-        member = Condition.member(anchor)
-        rhs = rhs + _X * brute_force_tdp_conditioned(remainder, member)
+        rhs = rhs + _X * brute_force_tdp(remainder, required=[anchor])
         alive = frozenset(remainder.vertices)
-        cond = member
-        feasible = True
-        for z in sorted(minus_e.neighbors(removed)):
-            dominators = minus_e.neighbors(z) & alive
-            if not dominators:
-                feasible = False
-                break
-            cond = cond & Condition.intersect_nonempty(dominators)
-        if feasible:
-            rhs = rhs + brute_force_tdp_conditioned(remainder, cond)
+        dominators = [minus_e.neighbors(z) & alive for z in minus_e.neighbors(removed)]
+        if all(dominators):  # an empty set is met by no W: the term is 0
+            rhs = rhs + brute_force_tdp(remainder, required=[anchor], meets=dominators)
     return rhs
 
 
@@ -259,8 +251,7 @@ def verify_conditioned_path_recurrence(n_min: int = 5, n_max: int = 14) -> Verif
     def end_conditioned(k: int) -> IntPoly:
         if k < 1:
             raise ValueError("path order must be positive")
-        g = path_graph(k)
-        return brute_force_tdp_conditioned(g, Condition.member(k - 1))
+        return brute_force_tdp(path_graph(k), required=[k - 1])
 
     for n in range(n_min, n_max + 1):
         lhs = end_conditioned(n)

@@ -10,13 +10,14 @@ vertex reduction is built from oracle calls too: the package uses only the
 full identity, and the tests check the shorter form against it.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from tdpoly.closedform import star_tdp
-from tdpoly.graph import Graph, all_labeled_trees, is_star_shaped, to_edge_list
-from tdpoly.oracle import Member, IntersectEmpty, brute_force_tdp, tdp_by_components
+from tdpoly.graph import Graph, _prufer_decode, all_labeled_trees, is_star_shaped, to_edge_list
+from tdpoly.oracle import brute_force_tdp, tdp_by_components
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import indicator_tdp
 
@@ -58,6 +59,22 @@ def join(g1, g2):
     shifted_e = [(u + offset, v + offset) for u, v in g2.edges]
     cross = [(u, v) for u in g1.vertices for v in shifted_v]
     return Graph(list(g1.vertices) + shifted_v, list(g1.edges) + shifted_e + cross)
+
+
+def closed_neighborhood(g, v):
+    """N[v]: v together with its neighbours."""
+    return g.neighbors(v) | {v}
+
+
+def random_tree(n, seed):
+    """Uniform random labeled tree on 0..n-1 (Pruefer decode of a seeded RNG)."""
+    if n < 1:
+        raise ValueError("tree order must be at least 1")
+    if n == 1:
+        return Graph([0])
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return _prufer_decode(seq, n)
 
 
 def naive_counts(g):
@@ -112,9 +129,9 @@ def simple_vertex_reduction_applies(g, u):
     stops being supporting in the contraction, and the conditioned term
     survives (u = end of a path of order 4 is the smallest example).
     """
-    nu_closed = g.closed_neighborhood(u)
+    nu_closed = closed_neighborhood(g, u)
     for v in g.vertices:
-        if v != u and g.closed_neighborhood(v) <= nu_closed:
+        if v != u and closed_neighborhood(g, v) <= nu_closed:
             return True
     for w in g.neighbors(u):
         for q in g.neighbors(w):
@@ -152,18 +169,10 @@ def is_total_dominating(g, w):
     return all(g.neighbors(v) & ws for v in g.vertices)
 
 
-def holds_for(cond, w):
-    """Whether the vertex set w satisfies every atom of the condition."""
-    for atom in cond.atoms:
-        if isinstance(atom, Member):
-            if atom.v not in w:
-                return False
-        elif isinstance(atom, IntersectEmpty):
-            if w & atom.vs:
-                return False
-        elif not w & atom.vs:
-            return False
-    return True
+def holds_for(w, required=(), forbidden=(), meets=()):
+    """Whether the vertex set w contains every required vertex, avoids every
+    forbidden one and meets every set in meets."""
+    return set(required) <= w and not w & set(forbidden) and all(w & set(vs) for vs in meets)
 
 
 def coeffwise_le(p, q):

@@ -577,12 +577,15 @@ def test_missing_file_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_budget_exhaustion_exit_3(capsys):
-    code, _, err = run_cli(
-        capsys, ["poly", "--family", "path", "--n", "27", "--method", "brute"]
-    )
-    assert code == 3
-    assert "error" in err
+def test_budget_exhaustion_exit_3(capsys, tmp_path):
+    # the oracle's cap is on the whole graph: three disjoint P_10 (n = 30)
+    # are refused too, although each component is small
+    f = tmp_path / "three-p10.txt"
+    f.write_text("n 30\n" + "".join(f"{10 * k + i} {10 * k + i + 1}\n" for k in range(3) for i in range(9)))
+    for argv in (["--family", "path", "--n", "27"], ["--in", str(f)]):
+        code, _, err = run_cli(capsys, ["poly", *argv, "--method", "brute"])
+        assert code == 3
+        assert err.startswith("error: brute-force enumeration capped at 26 vertices")
 
 
 def test_internal_error_exit_4(capsys, monkeypatch):

@@ -25,13 +25,12 @@ from tdpoly.graph import (
     disjoint_union,
     fixed_small_corpus,
     path_graph,
-    random_tree,
     star_graph,
     two_corona,
 )
 from tdpoly.polynomial import IntPoly
 
-from helpers import labeled_tree_census, pairwise_minimal_flags, tree_bound_row
+from helpers import labeled_tree_census, pairwise_minimal_flags, random_tree, tree_bound_row
 
 
 # -- tree coefficient bound ----------------------------------------------------

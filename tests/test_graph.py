@@ -20,13 +20,12 @@ from tdpoly.graph import (
     random_connected_corpus,
     random_connected_graph,
     random_forest,
-    random_tree,
     star_graph,
     to_edge_list,
     two_corona,
 )
 
-from helpers import join, union
+from helpers import join, random_tree, union
 
 
 # -- parsing ----------------------------------------------------------------

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import tdpoly.kernels as kernels
-from tdpoly.graph import Graph, cycle_graph, disjoint_union, path_graph, random_tree, star_graph
+from tdpoly.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
 from tdpoly.kernels import size_counts
-from tdpoly.oracle import Condition, brute_force_tdp_conditioned
+from tdpoly.oracle import brute_force_tdp
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import cycle_tdp, path_tdp, tree_tdp
 
-from helpers import holds_for, naive_counts, naive_size_counts, naive_tdp_filtered
+from helpers import holds_for, naive_counts, naive_size_counts, naive_tdp_filtered, random_tree
 
 
 def masks_of(g):
@@ -36,23 +36,15 @@ def test_counts_match_naive_reference():
 
 
 def random_condition(rng, labels, removable):
-    """Member, IntersectEmpty and nonempty atoms on the labels.
+    """Required, forbidden and must-meet vertex sets on the labels.
 
     At most ``removable`` labels are required or forbidden, so the rest stay
     candidates for the kernel.
     """
     picked = rng.sample(labels, rng.randint(0, min(removable, len(labels))))
     cut = rng.randint(0, len(picked))
-    required, forbidden = picked[:cut], picked[cut:]
-    cond = Condition()
-    for v in required:
-        cond = cond & Condition.member(v)
-    if forbidden:
-        cond = cond & Condition.intersect_empty(forbidden)
-    for _ in range(rng.randint(0, 3)):
-        size = rng.randint(1, min(4, len(labels)))
-        cond = cond & Condition.intersect_nonempty(rng.sample(labels, size))
-    return cond, required, forbidden
+    meets = [rng.sample(labels, rng.randint(1, min(4, len(labels)))) for _ in range(rng.randint(0, 3))]
+    return picked[:cut], picked[cut:], meets
 
 
 def test_kernel_matches_naive_under_random_conditions():
@@ -69,17 +61,17 @@ def test_kernel_matches_naive_under_random_conditions():
         p = rng.uniform(0.2, 0.9)
         edges = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
         g = Graph(labels, edges)
-        cond, required, forbidden = random_condition(rng, labels, n - 13 if n >= 13 else n)
+        required, forbidden, meets = random_condition(rng, labels, n - 13 if n >= 13 else n)
         if trial % 5 == 1:
-            # an atom over a required and a forbidden vertex, or an empty atom
-            touched = required[:1] + forbidden[:1]
-            cond = cond & Condition.intersect_nonempty(touched)
+            # a must-meet set over a required and a forbidden vertex, or an empty one
+            meets.append(required[:1] + forbidden[:1])
         if trial % 7 == 3:
             # one vertex both required and forbidden: nothing counts
             v = rng.choice(labels)
-            cond = cond & Condition.member(v) & Condition.intersect_empty([v])
-        got = brute_force_tdp_conditioned(g, cond)
-        assert got == naive_tdp_filtered(g, lambda w: holds_for(cond, w)), (trial, g, cond)
+            required, forbidden = required + [v], forbidden + [v]
+        cond = {"required": required, "forbidden": forbidden, "meets": meets}
+        got = brute_force_tdp(g, **cond)
+        assert got == naive_tdp_filtered(g, lambda w: holds_for(w, **cond)), (trial, g, cond)
 
 
 def test_uncovered_target_bit_counts_nothing():
@@ -150,17 +142,14 @@ def test_kernel_spans_several_blocks():
     assert distinct_high_covers(c23) > covers_per_block(23)
     assert IntPoly(size_counts(p22, full(22)).tolist()) == path_tdp(22)
     assert IntPoly(size_counts(c23, full(23)).tolist()) == cycle_tdp(23)
-    # a nonempty atom over the whole path is target bit 22, set in every
+    # a must-meet set of the whole path is target bit 22, set in every
     # mask: every totally dominating set meets it
     got = size_counts(p22 | 1 << 22, full(23))
     assert IntPoly(got.tolist()) == path_tdp(22)
     # P_15 + P_11 with the P_11 required whole: its bits leave the target,
     # 15 candidates remain, and the count is x^11 D_t(P_15)
     two = disjoint_union(path_graph(15), path_graph(11))
-    whole = Condition()
-    for v in range(15, 26):
-        whole = whole & Condition.member(v)
-    assert brute_force_tdp_conditioned(two, whole) == path_tdp(15).shift(11)
+    assert brute_force_tdp(two, required=range(15, 26)) == path_tdp(15).shift(11)
 
 
 def test_sparse_n26_call_memory():
@@ -243,7 +232,6 @@ def test_kernel_bit_limit():
 def test_required_and_forbidden_filters():
     g = path_graph(4)
     # force vertex 3 into every counted set: {1,2,3} and {0,1,2,3} remain
-    got = brute_force_tdp_conditioned(g, Condition.member(3))
-    assert got.coeffs == (0, 0, 0, 1, 1)
+    assert brute_force_tdp(g, required=[3]).coeffs == (0, 0, 0, 1, 1)
     # forbid vertex 0: {1,2} and {1,2,3} remain
-    assert brute_force_tdp_conditioned(g, Condition.intersect_empty([0])).coeffs == (0, 0, 1, 1)
+    assert brute_force_tdp(g, forbidden=[0]).coeffs == (0, 0, 1, 1)

@@ -13,15 +13,7 @@ from tdpoly.graph import (
     random_connected_graph,
     star_graph,
 )
-from tdpoly.oracle import (
-    ALWAYS,
-    MAX_ENUM_ORDER,
-    Condition,
-    brute_force_tdp,
-    brute_force_tdp_conditioned,
-    gamma_t,
-    tdp_by_components,
-)
+from tdpoly.oracle import MAX_ENUM_ORDER, brute_force_tdp, gamma_t, tdp_by_components
 from tdpoly.polynomial import IntPoly
 
 from helpers import holds_for, is_total_dominating, naive_gamma, naive_tdp, naive_tdp_filtered
@@ -90,39 +82,40 @@ def test_empty_graph_is_zero():
 
 
 def test_conditioned_examples():
-    assert brute_force_tdp_conditioned(path_graph(2), Condition.member(0)) == IntPoly((0, 0, 1))
-    assert brute_force_tdp_conditioned(
-        path_graph(3), Condition.intersect_empty([0, 2])
-    ) == IntPoly.zero()
-    assert brute_force_tdp_conditioned(path_graph(4), Condition.member(3)) == IntPoly(
-        (0, 0, 0, 1, 1)
-    )
+    assert brute_force_tdp(path_graph(2), required=[0]) == IntPoly((0, 0, 1))
+    assert brute_force_tdp(path_graph(3), forbidden=[0, 2]) == IntPoly.zero()
+    assert brute_force_tdp(path_graph(4), required=[3]) == IntPoly((0, 0, 0, 1, 1))
+    # of {1, 2}, {0, 1, 2}, {1, 2, 3} and {0, 1, 2, 3}, only the last meets both ends
+    assert brute_force_tdp(path_graph(4), meets=[{0}, {3}]) == IntPoly((0, 0, 0, 0, 1))
 
 
 def test_conditioned_with_always_is_plain():
+    # no conditions, or conditions that every set meets, give D_t itself
     g = cycle_graph(5)
-    assert brute_force_tdp_conditioned(g, ALWAYS) == brute_force_tdp(g)
+    assert brute_force_tdp(g, required=(), forbidden=(), meets=()) == naive_tdp(g)
+    assert brute_force_tdp(g, meets=[g.vertices]) == naive_tdp(g)
 
 
 def test_conditioned_conjunction():
     g = cycle_graph(4)
-    both = Condition.member(0) & Condition.member(2)
-    got = brute_force_tdp_conditioned(g, both)
+    got = brute_force_tdp(g, required=[0, 2])
     want = naive_tdp_filtered(g, lambda w: 0 in w and 2 in w)
     assert got == want
 
 
 def test_condition_atom_on_dead_vertex_rejected():
-    with pytest.raises(ValueError):
-        brute_force_tdp_conditioned(path_graph(2), Condition.member(7))
+    for cond in ({"required": [7]}, {"forbidden": [0, 7]}, {"meets": [{0}, {1, 7}]}):
+        with pytest.raises(ValueError, match="vertex 7"):
+            brute_force_tdp(path_graph(2), **cond)
 
 
 def test_condition_holds_for():
-    cond = Condition.member(1) & Condition.intersect_nonempty([2, 3])
-    assert holds_for(cond, {1, 2})
-    assert not holds_for(cond, {1})
-    assert not holds_for(cond, {2, 3})
-    assert holds_for(ALWAYS, set())
+    assert holds_for({1, 2}, required=[1], meets=[[2, 3]])
+    assert not holds_for({1}, required=[1], meets=[[2, 3]])
+    assert not holds_for({2, 3}, required=[1], meets=[[2, 3]])
+    assert not holds_for({2, 3}, forbidden=[3])
+    assert not holds_for({2, 3}, meets=[[]])
+    assert holds_for(set())
 
 
 def test_gamma_examples():
@@ -209,6 +202,6 @@ def test_polynomial_shape_properties(n, p, seed):
 def test_membership_partition_property(n, seed):
     g = random_connected_graph(n, 0.5, seed)
     v = g.vertices[0]
-    with_v = brute_force_tdp_conditioned(g, Condition.member(v))
-    without_v = brute_force_tdp_conditioned(g, Condition.intersect_empty([v]))
+    with_v = brute_force_tdp(g, required=[v])
+    without_v = brute_force_tdp(g, forbidden=[v])
     assert with_v + without_v == brute_force_tdp(g)

@@ -10,7 +10,6 @@ from tdpoly.graph import (
     disjoint_union,
     fixed_small_corpus,
     path_graph,
-    random_tree,
     star_graph,
 )
 from tdpoly.oracle import brute_force_tdp, gamma_t, tdp_by_components
@@ -28,7 +27,7 @@ from tdpoly.reduction import (
     verify_vertex_reduction,
 )
 
-from helpers import naive_tdp, simple_vertex_reduction_applies, simple_vertex_reduction_rhs
+from helpers import naive_tdp, random_tree, simple_vertex_reduction_applies, simple_vertex_reduction_rhs
 
 
 # -- indicator ---------------------------------------------------------------

@@ -205,10 +205,11 @@ def verify_minus_one(
         },
     )
     for n in range(1, path_n_max + 1):
-        exact = path_tdp(n).evaluate(-1)
-        report.record_check("", f"path n={n}", exact == path_at_minus_one(n), exact, path_at_minus_one(n))
+        exact, rule = path_tdp(n).evaluate(-1), path_at_minus_one(n)
+        report.record_check("", f"path n={n}", exact == rule, exact, rule)
     for n in range(2, star_n_max + 1):
-        report.record_check("", f"star n={n}", star_at_minus_one(n) == 1, 1, star_at_minus_one(n))
+        value = star_at_minus_one(n)
+        report.record_check("", f"star n={n}", value == 1, 1, value)
     master = random.Random(seed)
     for trial in range(forest_trials):
         n = master.randint(1, forest_order_max)

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from . import kernels
 from .errors import BudgetError
 from .graph import Graph
@@ -59,19 +57,22 @@ def brute_force_tdp(
       dominates it (an empty set is met by no W);
     - a vertex both required and forbidden leaves nothing to count.
 
-    A condition on a label that is not live raises ``ValueError``.
+    When some target bit is in no candidate mask (an isolated vertex, an
+    empty must-meet set, a vertex whose neighbours are all forbidden), no set
+    counts and the zero polynomial returns without enumerating. A condition
+    on a label that is not live raises ``ValueError``.
     """
     _check_budget(g)
     if g.order == 0:
         return IntPoly.zero()
-    bit = {v: i for i, v in enumerate(g.vertices)}
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
 
     def bits_of(vs: Iterable[int]) -> int:
         m = 0
         for v in vs:
             if v not in bit:
                 raise ValueError(f"condition references vertex {v}, not live in the graph")
-            m |= 1 << bit[v]
+            m |= bit[v]
         return m
 
     req, forb = bits_of(required), bits_of(forbidden)
@@ -81,16 +82,23 @@ def brute_force_tdp(
     n = g.order
     target = (1 << (n + len(virtual))) - 1
     candidates = []
-    for v, i in bit.items():
-        m = bits_of(g.neighbors(v))
+    reach = 0  # the target bits some candidate covers
+    for v, b in bit.items():
+        m = 0
+        for w in g.neighbors(v):  # live, so no check
+            m |= bit[w]
         for j, vs in enumerate(virtual):
-            m |= (vs >> i & 1) << (n + j)
-        if req >> i & 1:
+            if vs & b:
+                m |= 1 << (n + j)
+        if req & b:
             target &= ~m
-        elif not forb >> i & 1:
+        elif not forb & b:
             candidates.append(m)
-    counts = kernels.size_counts(np.array(candidates, dtype=np.int64), target)
-    return ensure_valid_tdp(IntPoly(counts.tolist()).shift(req.bit_count()), n)
+            reach |= m
+    if reach & target != target:
+        return IntPoly.zero()
+    counts = kernels.size_counts(candidates, target)
+    return ensure_valid_tdp(IntPoly([0] * req.bit_count() + counts.tolist()), n)
 
 
 def gamma_t(g: Graph) -> int | None:

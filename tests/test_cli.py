@@ -429,6 +429,30 @@ def test_scan_byte_identity_for_fixed_seed(capsys):
     assert first == second
 
 
+# sha256 of the stdout of suites built on many small oracle calls, frozen
+# before the kernel's pure-int path, the oracle's early zero and the
+# unchecked graph derivations, so none of the three changes a byte.
+SMALL_CALL_DIGESTS = {
+    "verify --suite theorem1 --n-max 10 --trials 12 --seed 5":
+        "8d449578d38804de5fb407a8a6764446b4cd45853f4809ac704769e6a41c30ac",
+    "verify --suite theorem3 --n-max 10 --trials 12 --seed 5":
+        "86458e42acc9cc952a0d43b1ad45502484b86060794d8cecf20ea9ec1ffc4e5b",
+    "verify --suite prop1 --n-max 8 --trials 6 --seed 5":
+        "41666ab68ed398846860015e1f5bf51476716982e2d1a24f1a5d6c60ade66b1c",
+    "scan --suite degree2 --n 10 --trials 12 --seed 5":
+        "3e6f23edd0fe5842a55500adb4daa0ce053ba459b9beb3db40d821e3ca13e52f",
+    "scan --suite gamma-bounds --n 8 --trials 3 --seed 5":
+        "ee7f10da71f42da2ae1e89647688fe2135f6442a693a55a89a0a11f5e3a271e6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SMALL_CALL_DIGESTS))
+def test_small_call_suites_bytes_frozen(capsys, argv):
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SMALL_CALL_DIGESTS[argv]
+
+
 @pytest.mark.parametrize(
     "argv, smallest",
     [

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,69 @@ def test_components_ordering():
     assert [c.order for c in comps] == [2, 3]
     assert cycle_graph(5).components() == [cycle_graph(5)]
     assert Graph([]).components() == []
+
+
+def reference_components(vertices, edges):
+    """Vertex sets of the components, by union-find over the edge list."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    comps = {}
+    for v in vertices:
+        comps.setdefault(find(v), set()).add(v)
+    return sorted(comps.values(), key=min)
+
+
+def assert_same_graph(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.vertices == want.vertices and got.edges == want.edges
+    assert got.order == want.order and got.size == want.size
+    assert all(got.neighbors(v) == want.neighbors(v) for v in want.vertices)
+
+
+def test_derived_graphs_match_the_validating_constructor():
+    # derivations skip the constructor's checks; each result must be the
+    # graph the constructor builds from the same vertices and edges, on
+    # gapped labels given in shuffled order and edges in either orientation
+    rng = random.Random(29)
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        labels = rng.sample(range(4 * n), n)
+        p = rng.uniform(0.0, 0.7)
+        edges = [(a, b) if rng.random() < 0.5 else (b, a)
+                 for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < p]
+        g = Graph(labels, edges)
+        pairs = {frozenset(e) for e in edges}
+        before = {v: g.neighbors(v) for v in labels}
+
+        def built(vs, keep=lambda e: True, extra=()):
+            vs = set(vs)
+            return Graph(vs, [tuple(e) for e in pairs if e <= vs and keep(e)] + list(extra))
+
+        u = rng.choice(labels)
+        assert_same_graph(g.delete_vertex(u), built(set(labels) - {u}))
+        clique = list(combinations(sorted(g.neighbors(u)), 2))
+        assert_same_graph(g.contract_vertex(u), built(set(labels) - {u}, extra=clique))
+        if edges:
+            a, b = rng.choice(edges)
+            assert_same_graph(g.delete_edge(a, b), built(labels, lambda e: e != {a, b}))
+        sources = rng.sample(labels, rng.randint(1, min(3, n)))
+        removed = set(sources).union(*(g.neighbors(s) for s in sources))
+        assert_same_graph(g.without_closed_neighborhoods(sources), built(set(labels) - removed))
+        comps = g.components()
+        want = reference_components(labels, edges)
+        assert len(comps) == len(want), trial
+        for got, vs in zip(comps, want):
+            assert_same_graph(got, built(vs))
+        # the parent is untouched
+        assert all(g.neighbors(v) == before[v] for v in labels)
+        assert g == Graph(labels, edges)
 
 
 def test_connectivity_and_forest():

@@ -106,14 +106,20 @@ def covers_per_block(n):
 
 @pytest.mark.parametrize(
     "n, block",
-    [(kernels._WHOLE_MAX, None), (kernels._WHOLE_MAX + 1, None), (kernels._WHOLE_MAX + 1, 16)],
-    ids=["whole-table", "split", "split-2-covers-per-block"],
+    [
+        (kernels._INT_MAX, None),
+        (kernels._INT_MAX + 1, None),
+        (kernels._WHOLE_MAX, None),
+        (kernels._WHOLE_MAX + 1, None),
+        (kernels._WHOLE_MAX + 1, 16),
+    ],
+    ids=["int-table", "array-table", "whole-table", "split", "split-2-covers-per-block"],
 )
 def test_kernel_matches_naive_masks(monkeypatch, n, block):
-    # the widest whole-table call and the narrowest split one, against plain
-    # enumeration: masks over n vertex bits plus 1-5 virtual bits, targets
-    # with holes, so the target's bit count is rarely a multiple of 4. A
-    # 16-word block pairs 2 high covers at a time.
+    # the widest int-table, whole-table calls and the narrowest array-table
+    # and split ones, against plain enumeration: masks over n vertex bits
+    # plus 1-5 virtual bits, targets with holes, so the target's bit count is
+    # rarely a multiple of 4. A 16-word block pairs 2 high covers at a time.
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK", block)
     rng = random.Random(n * 100 + (block or 0))
@@ -131,6 +137,25 @@ def test_kernel_matches_naive_masks(monkeypatch, n, block):
         assert size_counts(np.array(masks, dtype=np.int64), target).tolist() == expected, (virtual, masks, target)
         if block is not None:
             assert distinct_high_covers([m & target for m in masks]) > covers_per_block(n)
+
+
+@pytest.mark.parametrize("n", list(range(10)) + [kernels._WHOLE_MAX, kernels._WHOLE_MAX + 1])
+def test_kernel_matches_naive_at_every_regime(n):
+    # 0-9 masks cross the int/array cutoff at 7/8, 14/15 the whole/split
+    # one; masks as a list and as an int64 array, with bits outside the
+    # target, repeated masks, the empty target and a target bit in no mask
+    rng = random.Random(n)
+    width = n + 2
+    for trial in range(4 if n < 10 else 1):
+        masks = [rng.getrandbits(width) | rng.getrandbits(width) for _ in range(n)]
+        if n >= 2:
+            masks[-1] = masks[0]
+        hole = full(width) & ~(1 << rng.randrange(width))
+        for target in (0, full(width), hole, rng.getrandbits(width), full(width + 1)):
+            expected = naive_size_counts(masks, target)
+            for given in (masks, np.array(masks, dtype=np.int64)):
+                got = size_counts(given, target)
+                assert got.dtype == np.int64 and got.tolist() == expected, (masks, target)
 
 
 def test_kernel_spans_several_blocks():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdpoly import kernels
 from tdpoly.errors import BudgetError
 from tdpoly.graph import (
     Graph,
@@ -87,6 +88,37 @@ def test_conditioned_examples():
     assert brute_force_tdp(path_graph(4), required=[3]) == IntPoly((0, 0, 0, 1, 1))
     # of {1, 2}, {0, 1, 2}, {1, 2, 3} and {0, 1, 2, 3}, only the last meets both ends
     assert brute_force_tdp(path_graph(4), meets=[{0}, {3}]) == IntPoly((0, 0, 0, 0, 1))
+
+
+P3_WITH_ISOLATED = disjoint_union(path_graph(3), Graph([0]))  # vertex 3 is isolated
+
+
+@pytest.mark.parametrize(
+    "g, cond, counted",
+    [
+        (P3_WITH_ISOLATED, {}, False),
+        (P3_WITH_ISOLATED, {"required": [3]}, False),
+        (cycle_graph(5), {"meets": [{0}, ()]}, False),  # an empty must-meet set
+        (path_graph(4), {"meets": [{0, 3}], "forbidden": [0, 3]}, False),
+        (path_graph(3), {"forbidden": [1]}, False),  # 0 and 2 have only 1 as neighbour
+        (star_graph(5), {"forbidden": [0]}, False),
+        # required vertices leave the target coverable: the kernel counts
+        (path_graph(3), {"required": [1]}, True),
+        (path_graph(3), {"required": [0]}, True),
+        (cycle_graph(6), {"required": [0, 3], "forbidden": [1]}, True),
+        (star_graph(5), {"required": [1], "forbidden": [2]}, True),
+    ],
+)
+def test_uncoverable_target_is_zero_without_enumerating(monkeypatch, g, cond, counted):
+    # when a target bit is in no candidate mask the oracle answers zero
+    # without calling the kernel; otherwise it enumerates as usual
+    want = naive_tdp_filtered(g, lambda w: holds_for(w, **cond))
+    calls = []
+    real = kernels.size_counts
+    monkeypatch.setattr(kernels, "size_counts", lambda *a: calls.append(a) or real(*a))
+    assert brute_force_tdp(g, **cond) == want
+    assert len(calls) == counted
+    assert bool(want) == counted
 
 
 def test_conditioned_with_always_is_plain():

@@ -101,9 +101,9 @@ class Graph:
 
     @classmethod
     def _derived(cls, adj: dict[int, frozenset[int]], edges: list[tuple[int, int]]) -> "Graph":
-        """Graph from a valid graph's adjacency after a derivation, with its
-        edges as ascending (min, max) pairs: the constructor's checks are
-        skipped, since a derivation keeps the graph simple and symmetric.
+        """Graph from a simple, symmetric adjacency (a valid graph's after a
+        derivation, or one the parser checked edge by edge), with its edges
+        as ascending (min, max) pairs: the constructor's checks are skipped.
 
         ``edges`` is a list: built from generators instead, these tuples
         raised the peak RSS of 16 scan-verify benchmark cycles by 2 MB."""
@@ -111,6 +111,20 @@ class Graph:
         g._adj = adj
         g._key = (tuple(sorted(adj)), tuple(edges))
         return g
+
+    @classmethod
+    def _from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Graph on 0..n-1 from distinct edges between distinct labels in
+        range, either way round: the constructor's checks are skipped, so
+        only tdpoly's own generators call this."""
+        adj: list[list[int]] = [[] for _ in range(n)]
+        pairs = []
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+            pairs.append((u, v) if u < v else (v, u))
+        pairs.sort()
+        return cls._derived(dict(enumerate(map(frozenset, adj))), pairs)
 
     def _induced(self, keep: set[int]) -> "Graph":
         return Graph._derived(
@@ -220,7 +234,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    adj: list[set[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -235,6 +249,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
             if n < 0:
                 raise GraphParseError(f"line {lineno}: vertex count must be nonnegative")
+            adj = [set() for _ in range(n)]
             continue
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected '<u> <v>', got {raw!r}")
@@ -246,14 +261,16 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"line {lineno}: vertex index out of range [0, {n}) in {raw!r}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if v in adj[u]:
             raise GraphParseError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append(key)
+        adj[u].add(v)
+        adj[v].add(u)
+        edges.append((u, v) if u < v else (v, u))
     if n is None:
         raise GraphParseError("missing 'n <count>' header line")
-    return Graph(range(n), edges)
+    edges.sort()
+    # every edge was checked above, so the constructor's checks are skipped
+    return Graph._derived(dict(enumerate(map(frozenset, adj))), edges)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -275,21 +292,21 @@ def path_graph(n: int) -> Graph:
     """P_n on labels 0..n-1 in order; P_0 is the empty graph."""
     if n < 0:
         raise ValueError("path order must be nonnegative")
-    return Graph(range(n), ((i, i + 1) for i in range(n - 1)))
+    return Graph._from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     """C_n on labels 0..n-1 with the closing edge (n-1, 0)."""
     if n < 3:
         raise ValueError("cycle order must be at least 3")
-    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+    return Graph._from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(n: int) -> Graph:
     """S_n = K_{1,n-1}: center 0, leaves 1..n-1."""
     if n < 2:
         raise ValueError("star order must be at least 2")
-    return Graph(range(n), ((0, i) for i in range(1, n)))
+    return Graph._from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -323,7 +340,7 @@ def two_corona(base: Graph) -> Graph:
 def _prufer_decode(seq: Sequence[int], n: int) -> Graph:
     """Labeled tree on 0..n-1 from a Pruefer sequence of length n-2 (n >= 2)."""
     if n == 2:
-        return Graph(range(2), [(0, 1)])
+        return Graph._from_edges(2, [(0, 1)])
     degree = [1] * n
     for s in seq:
         degree[s] += 1
@@ -343,7 +360,7 @@ def _prufer_decode(seq: Sequence[int], n: int) -> Graph:
                 ptr += 1
             leaf = ptr
     edges.append((leaf, n - 1))
-    return Graph(range(n), edges)
+    return Graph._from_edges(n, edges)
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:
@@ -361,7 +378,7 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     for pair in combinations(range(n), 2):
         if pair not in edges and rng.random() < p:
             edges.add(pair)
-    return Graph(range(n), edges)
+    return Graph._from_edges(n, edges)
 
 
 def all_labeled_trees(n: int) -> Iterator[Graph]:
@@ -401,7 +418,7 @@ def random_forest(n: int, seed: int) -> Graph:
     tree = _prufer_decode(seq, n)
     drop = rng.uniform(0.0, 0.5)
     edges = [e for e in tree.edges if rng.random() >= drop]
-    return Graph(range(n), edges)
+    return Graph._from_edges(n, edges)
 
 
 # -- verification corpora -----------------------------------------------------

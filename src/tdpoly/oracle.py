@@ -33,6 +33,17 @@ def _check_budget(g: Graph) -> None:
         )
 
 
+def _mask(bit: dict[int, int], vs: Iterable[int]) -> int:
+    """OR of the bits of the labels in ``vs``; a label that is not live raises ValueError."""
+    m = 0
+    for v in vs:
+        b = bit.get(v)
+        if b is None:
+            raise ValueError(f"condition references vertex {v}, not live in the graph")
+        m |= b
+    return m
+
+
 def brute_force_tdp(
     g: Graph,
     *,
@@ -66,26 +77,18 @@ def brute_force_tdp(
     if g.order == 0:
         return IntPoly.zero()
     bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-
-    def bits_of(vs: Iterable[int]) -> int:
-        m = 0
-        for v in vs:
-            if v not in bit:
-                raise ValueError(f"condition references vertex {v}, not live in the graph")
-            m |= bit[v]
-        return m
-
-    req, forb = bits_of(required), bits_of(forbidden)
-    virtual = dict.fromkeys(bits_of(vs) for vs in meets)  # distinct sets, in order
+    req, forb = _mask(bit, required), _mask(bit, forbidden)
+    virtual = dict.fromkeys(_mask(bit, vs) for vs in meets)  # distinct sets, in order
     if req & forb:
         return IntPoly.zero()
     n = g.order
     target = (1 << (n + len(virtual))) - 1
     candidates = []
     reach = 0  # the target bits some candidate covers
+    adj = g._adj  # neighbours of a live vertex are live: no label checks
     for v, b in bit.items():
         m = 0
-        for w in g.neighbors(v):  # live, so no check
+        for w in adj[v]:
             m |= bit[w]
         for j, vs in enumerate(virtual):
             if vs & b:
@@ -98,7 +101,7 @@ def brute_force_tdp(
     if reach & target != target:
         return IntPoly.zero()
     counts = kernels.size_counts(candidates, target)
-    return ensure_valid_tdp(IntPoly([0] * req.bit_count() + counts.tolist()), n)
+    return ensure_valid_tdp(IntPoly._of([0] * req.bit_count() + counts.tolist()), n)
 
 
 def gamma_t(g: Graph) -> int | None:
@@ -110,10 +113,11 @@ def tdp_by_components(g: Graph) -> IntPoly:
     """Brute-force polynomial assembled as the product over components.
 
     Matches brute_force_tdp on the whole graph but keeps each enumeration at
-    component size; the empty graph still maps to the zero polynomial.
+    component size; the empty graph still maps to the zero polynomial. A
+    connected graph is counted as it is, without a copy.
     """
-    if g.order == 0:
-        return IntPoly.zero()
+    if g.is_connected():
+        return brute_force_tdp(g)
     out = IntPoly.one()
     for comp in g.components():
         out = out * brute_force_tdp(comp)

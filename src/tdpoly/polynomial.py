@@ -16,7 +16,9 @@ from .errors import InternalConsistencyError
 class IntPoly:
     """Immutable integer polynomial in one variable.
 
-    ``IntPoly([0, 0, 1, 2, 1])`` is ``x^4 + 2x^3 + x^2``.
+    ``IntPoly([0, 0, 1, 2, 1])`` is ``x^4 + 2x^3 + x^2``. The constructor
+    checks that every coefficient is an int; the arithmetic, and the engines
+    that compute coefficient lists themselves, build through ``_of``.
     """
 
     __slots__ = ("_coeffs",)
@@ -31,12 +33,22 @@ class IntPoly:
         self._coeffs = tuple(cs)
 
     @classmethod
+    def _of(cls, cs: list[int]) -> "IntPoly":
+        """Polynomial from a list of ints that tdpoly computed itself: trailing
+        zeros are trimmed (in place) and the type check is skipped."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        p._coeffs = tuple(cs)
+        return p
+
+    @classmethod
     def zero(cls) -> "IntPoly":
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "IntPoly":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "IntPoly":
@@ -74,7 +86,7 @@ class IntPoly:
             raise ValueError("shift must be nonnegative")
         if not self._coeffs:
             return self
-        return IntPoly((0,) * k + self._coeffs)
+        return IntPoly._of([0] * k + list(self._coeffs))
 
     def evaluate(self, point):
         """Horner evaluation.
@@ -113,16 +125,16 @@ class IntPoly:
         return hash(self._coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(_add_coeffs(self._coeffs, other._coeffs))
+        return IntPoly._of(_add_coeffs(self._coeffs, other._coeffs))
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self._coeffs))
+        return IntPoly._of([-c for c in self._coeffs])
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
+        return IntPoly._of(_add_coeffs(self._coeffs, [-c for c in other._coeffs]))
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return IntPoly(_mul_coeffs(self._coeffs, other._coeffs))
+        return IntPoly._of(_mul_coeffs(self._coeffs, other._coeffs))
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self._coeffs)!r})"
@@ -156,6 +168,10 @@ class IntPoly:
     @classmethod
     def from_coeff_strings(cls, strings: Sequence[str]) -> "IntPoly":
         return cls(int(s) for s in strings)
+
+
+_ZERO = IntPoly()
+_ONE = IntPoly((1,))
 
 
 def _add_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:

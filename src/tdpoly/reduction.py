@@ -127,7 +127,7 @@ def _order4_recurrence(seeds: tuple[IntPoly, ...], steps: int, order: int) -> In
         # nxt[i+1] += w3[i], nxt[i+2] += w1[i] + w0[i]
         nxt = _add_coeffs([0, *w3], [0, 0, *_add_coeffs(w1, w0)])
         w0, w1, w2, w3 = w1, w2, w3, nxt
-    return ensure_valid_tdp(IntPoly(w3), order)
+    return ensure_valid_tdp(IntPoly._of(w3), order)
 
 
 def path_tdp(n: int) -> IntPoly:
@@ -151,6 +151,12 @@ def cycle_tdp(n: int) -> IntPoly:
     return _order4_recurrence(tuple(_CYCLE_BASE[k] for k in range(3, 7)), n - 6, n)
 
 
+# A vertex's four states before any child is folded in: [out-undominated,
+# out-dominated, in-undominated, in-dominated] = [1, 0, x, 0]. The fold only
+# builds new lists, so every vertex can start from this one.
+_LEAF = ([1], [], [0, 1], [])
+
+
 def tree_tdp(g: Graph) -> IntPoly:
     """Exact polynomial for a forest by one bottom-up pass per component.
 
@@ -172,6 +178,7 @@ def tree_tdp(g: Graph) -> IntPoly:
     if not g.is_forest():
         raise ValueError("input graph contains a cycle")
     out = [1] if g.order else []
+    adj = g._adj
     seen: set[int] = set()
     for root in g.vertices:
         if not out:
@@ -181,16 +188,17 @@ def tree_tdp(g: Graph) -> IntPoly:
         seen.add(root)
         order, parent = [root], {}
         for v in order:  # grows while it is walked: a breadth-first search
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     parent[w] = v
                     order.append(w)
-        # state[v] = [out-undominated, out-dominated, in-undominated, in-dominated]
-        state = {v: [[1], [], [0, 1], []] for v in order}
+        # state[v] = [out-undominated, out-dominated, in-undominated, in-dominated],
+        # stored once v has a child folded in
+        state = {}
         for c in reversed(order[1:]):
-            c_out, c_out_dom, c_in, c_in_dom = state.pop(c)
-            v_out, v_out_dom, v_in, v_in_dom = state[parent[c]]
+            c_out, c_out_dom, c_in, c_in_dom = state.pop(c, _LEAF)
+            v_out, v_out_dom, v_in, v_in_dom = state.get(parent[c], _LEAF)
             c_any_out, c_any_in = _add_coeffs(c_out, c_out_dom), _add_coeffs(c_in, c_in_dom)
             state[parent[c]] = [
                 # v not in W: c is dominated by its own children
@@ -202,9 +210,9 @@ def tree_tdp(g: Graph) -> IntPoly:
                 _add_coeffs(_mul_coeffs(v_in_dom, _add_coeffs(c_any_out, c_any_in)),
                             _mul_coeffs(v_in, c_any_in)),
             ]
-        _, r_out_dom, _, r_in_dom = state[root]
+        _, r_out_dom, _, r_in_dom = state.get(root, _LEAF)
         out = _mul_coeffs(out, _add_coeffs(r_out_dom, r_in_dom))
-    return ensure_valid_tdp(IntPoly(out), g.order)
+    return ensure_valid_tdp(IntPoly._of(out), g.order)
 
 
 # -- differential verification suites ----------------------------------------

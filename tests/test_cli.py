@@ -429,9 +429,65 @@ def test_scan_byte_identity_for_fixed_seed(capsys):
     assert first == second
 
 
-# sha256 of the stdout of suites built on many small oracle calls, frozen
-# before the kernel's pure-int path, the oracle's early zero and the
-# unchecked graph derivations, so none of the three changes a byte.
+# A fixed graph on 20 vertices (47 edges) for `poly --in`: comment, blank
+# line and edges written high-low go through the parser too.
+GRAPH_20 = """# n = 20, 47 edges
+n 20
+0 1
+4 0
+0 8
+0 10
+0 11
+0 17
+0 18
+1 2
+1 5
+7 1
+1 11
+1 12
+2 3
+
+2 5
+2 6
+2 12
+2 13
+2 14
+3 5
+3 7
+3 10
+3 12
+3 14
+3 17
+3 18
+4 6
+4 7
+5 9
+5 14
+19 5
+6 9
+6 10
+6 14
+6 18
+6 19
+7 15
+7 17
+8 14
+9 13
+10 12
+10 14
+10 16
+10 17
+11 13
+13 16
+13 17
+14 16
+"""
+
+# sha256 of the stdout of requests built on many small oracle calls, graph
+# builds and polynomial sums, frozen before the kernel's pure-int path, the
+# oracle's early zero and the unchecked graph derivations, and (the last
+# three) before the trusted graph and polynomial constructors, so none of
+# these changes a byte. "{graph20}" names a file holding GRAPH_20.
 SMALL_CALL_DIGESTS = {
     "verify --suite theorem1 --n-max 10 --trials 12 --seed 5":
         "8d449578d38804de5fb407a8a6764446b4cd45853f4809ac704769e6a41c30ac",
@@ -443,12 +499,20 @@ SMALL_CALL_DIGESTS = {
         "3e6f23edd0fe5842a55500adb4daa0ce053ba459b9beb3db40d821e3ca13e52f",
     "scan --suite gamma-bounds --n 8 --trials 3 --seed 5":
         "ee7f10da71f42da2ae1e89647688fe2135f6442a693a55a89a0a11f5e3a271e6",
+    "verify --suite minus-one --trials 60 --seed 5":
+        "91ec1fc125235a1356e6cb405d220f671efa9805d0c01b738f09659597f2d7dd",
+    "poly --in {graph20}":
+        "ddb2dec692458104d2b382f9b5140c3c9b9378f53d862c5825ee2817192c9a16",
+    "eval --family path --n 40 --at -1 2 0.5":
+        "5b13196b8d294f10b28ba779c90cb794c95d8f992f3dccab819cdee9eeda4ef3",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(SMALL_CALL_DIGESTS))
-def test_small_call_suites_bytes_frozen(capsys, argv):
-    code, out, err = run_cli(capsys, argv.split())
+def test_small_call_suites_bytes_frozen(capsys, tmp_path, argv):
+    graph20 = tmp_path / "graph20.txt"
+    graph20.write_text(GRAPH_20)
+    code, out, err = run_cli(capsys, argv.format(graph20=graph20).split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SMALL_CALL_DIGESTS[argv]
 

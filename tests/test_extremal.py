@@ -297,6 +297,19 @@ def test_scan_report_csv_shape():
 # -- structural identity suite -----------------------------------------------------
 
 
+def test_gamma_row_fails_on_a_wrong_min_degree(monkeypatch):
+    # the gamma-is-min-degree row compares the oracle's least degree with an
+    # independent cover search, so a broken min_degree must show as a failure
+    corpus = fixed_small_corpus()
+    assert verify_basic_identities(corpus).passed
+    real = IntPoly.min_degree
+    monkeypatch.setattr(IntPoly, "min_degree", lambda p: None if real(p) is None else real(p) + 1)
+    report = verify_basic_identities(corpus)
+    failed = {f.param for f in report.failures}
+    assert failed == {"gamma-is-min-degree"}
+    assert len(report.failures) == len(corpus)
+
+
 def test_verify_basic_identities_passes():
     corpus = fixed_small_corpus() + [
         Graph([0]),

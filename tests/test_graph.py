@@ -75,6 +75,42 @@ def test_parse_error_names_the_line():
         parse_edge_list("n 3\n0 0")
 
 
+# The parser is the boundary for edge-list text: its checks, and their
+# messages, stay the same although it builds the graph without the
+# constructor's checks. The messages are written out here by hand.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "missing 'n <count>' header line"),
+        ("# only a comment\n\n", "missing 'n <count>' header line"),
+        ("0 1\n", "line 1: expected header 'n <count>', got '0 1'"),
+        ("# header next\nn\n", "line 2: expected header 'n <count>', got 'n'"),
+        ("n 3 4\n", "line 1: expected header 'n <count>', got 'n 3 4'"),
+        ("n x\n0 1", "line 1: vertex count 'x' is not an integer"),
+        ("n -2\n", "line 1: vertex count must be nonnegative"),
+        ("n 3\n0 1 2", "line 2: expected '<u> <v>', got '0 1 2'"),
+        ("n 3\n0\n", "line 2: expected '<u> <v>', got '0'"),
+        ("n 3\n0 a", "line 2: non-integer vertex in '0 a'"),
+        ("n 3\n0 1\n\n2 2", "line 4: self-loop at vertex 2"),
+        ("n 2\n0 3", "line 2: vertex index out of range [0, 2) in '0 3'"),
+        ("n 2\n0 -1", "line 2: vertex index out of range [0, 2) in '0 -1'"),
+        ("n 3\n0 1\n0 1", "line 3: duplicate edge (0, 1)"),
+        ("n 3\n0 1\n1 0", "line 3: duplicate edge (1, 0)"),
+        ("n 3\n2 1\n# again\n1 2", "line 4: duplicate edge (1, 2)"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(GraphParseError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
+def test_parse_crlf_comments_and_blank_lines():
+    text = "# a path\r\nn 4\r\n\r\n1 0\r\n  # indented comment\r\n1 2\r\n 3 2 \r\n"
+    assert_same_graph(parse_edge_list(text), Graph(range(4), [(0, 1), (1, 2), (2, 3)]))
+    assert_same_graph(parse_edge_list("n 3\r\n"), Graph(range(3)))
+
+
 def test_edge_list_round_trip():
     for g in fixed_small_corpus():
         assert parse_edge_list(to_edge_list(g)) == g
@@ -392,7 +428,44 @@ def test_two_corona_order_property(n, seed):
 
 
 def test_graph_rejects_bad_edges():
+    # the public constructor is the boundary for user-given graphs
     with pytest.raises(ValueError):
         Graph([0, 1], [(0, 0)])
     with pytest.raises(ValueError):
         Graph([0, 1], [(0, 2)])
+    with pytest.raises(ValueError) as info:
+        Graph([3, 5], [(5, 5)])
+    assert str(info.value) == "self-loop at vertex 5"
+    with pytest.raises(ValueError) as info:
+        Graph([3, 5], [(3, 5), (7, 3)])
+    assert str(info.value) == "edge (7, 3) references an unknown vertex"
+
+
+def test_generators_match_the_validating_constructor():
+    # the generators build through the unchecked constructor; each graph must
+    # be the one the validating constructor builds from the same edges
+    def checked(g):
+        return Graph(range(g.order), g.edges)
+
+    for n in range(0, 12):
+        assert_same_graph(path_graph(n), checked(path_graph(n)))
+        assert_same_graph(path_graph(n), Graph(range(n), [(i + 1, i) for i in range(n - 1)]))
+    for n in range(3, 12):
+        assert_same_graph(cycle_graph(n), Graph(range(n), [(i, (i + 1) % n) for i in range(n)]))
+    for n in range(2, 12):
+        assert_same_graph(star_graph(n), Graph(range(n), [(i, 0) for i in range(1, n)]))
+    rng = random.Random(31)
+    for _ in range(150):
+        n, seed = rng.randint(1, 14), rng.randrange(2**32)
+        g = random_connected_graph(n, rng.random(), seed)
+        assert_same_graph(g, checked(g))
+        assert g.is_connected()
+        f = random_forest(n, seed)
+        assert_same_graph(f, checked(f))
+        assert f.is_forest()
+        t = random_tree(n, seed)
+        assert_same_graph(t, checked(t))
+        assert t.is_forest() and t.size == n - 1
+    for n in range(1, 6):
+        for t in all_labeled_trees(n):
+            assert_same_graph(t, checked(t))

@@ -184,6 +184,30 @@ def test_component_product_law():
     assert tdp_by_components(g) == brute_force_tdp(g)
 
 
+def test_component_product_matches_naive_enumeration():
+    # a connected graph is counted without a copy, a disconnected one per
+    # component; both must equal a plain enumeration of the whole graph
+    assert tdp_by_components(Graph([])) == IntPoly.zero()  # the oracle's convention
+    rng = random.Random(77)
+    graphs = [
+        Graph([0]),
+        Graph([4, 9]),
+        disjoint_union(path_graph(2), Graph([0])),
+        disjoint_union(cycle_graph(4), path_graph(3)),
+        Graph([0, 1, 2, 3], [(2, 3)]),
+    ]
+    for _ in range(40):
+        g = random_connected_graph(rng.randint(1, 9), rng.uniform(0.0, 0.6), rng.randrange(2**32))
+        graphs.append(g)
+        if g.order > 1:
+            graphs.append(g.delete_vertex(rng.choice(g.vertices)))
+            graphs.append(disjoint_union(g, path_graph(rng.randint(1, 3))))
+    assert any(g.is_connected() and g.order > 1 for g in graphs)
+    assert any(not g.is_connected() for g in graphs)
+    for g in graphs:
+        assert tdp_by_components(g) == naive_tdp(g), g
+
+
 def test_budget_enforced():
     big = star_graph(MAX_ENUM_ORDER + 1)
     with pytest.raises(BudgetError):

@@ -33,6 +33,26 @@ def test_sub_to_zero():
     p = IntPoly((0, 0, 2, 1))
     assert p - p == IntPoly.zero()
     assert not (p - p)
+    assert (p - p).coeffs == ()
+    assert (p + (-p)).coeffs == ()
+    assert (IntPoly((1, 2)) - IntPoly((0, 2))).coeffs == (1,)
+
+
+def test_constructor_rejects_inexact_coefficients():
+    # the constructor is the boundary for user-given coefficients
+    with pytest.raises(TypeError) as info:
+        IntPoly([1.0])
+    assert str(info.value) == "coefficients must be exact ints, got float"
+    with pytest.raises(TypeError):
+        IntPoly([0, 1, "2"])
+
+
+def test_shared_zero_and_one_are_unchanged_by_arithmetic():
+    zero, one = IntPoly.zero(), IntPoly.one()
+    p = IntPoly((0, 0, 2, 1))
+    assert (one + p) * (zero + one) - zero == IntPoly((1, 0, 2, 1))
+    assert zero.shift(3) == zero and one.shift(2) == X2
+    assert IntPoly.zero().coeffs == () and IntPoly.one().coeffs == (1,)
 
 
 def test_poly_arith_dispatch():

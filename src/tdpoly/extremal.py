@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import reduce
-from itertools import combinations
 from math import comb, factorial
-from operator import or_
 from typing import Iterable
 
 from .closedform import star_tdp
@@ -477,24 +474,31 @@ def scan_gamma_bounds(graphs: Iterable[Graph], params: dict | None = None) -> Sc
 
 
 def _gamma_by_cover_search(g: Graph) -> int | None:
-    """Total domination number without the oracle: for each component, the
-    fewest vertices whose open neighbourhoods cover it, trying sizes in
-    ascending order; summed over the components. None when some component
-    (an isolated vertex) cannot be covered, and for the empty graph."""
+    """Total domination number without the oracle, summed over the components.
+
+    Per component, the masks that k chosen vertices' neighbourhoods can cover
+    are grown one vertex at a time: the next vertex is a neighbour of the
+    lowest vertex not yet covered, since any total dominating set has one.
+    The first k whose masks include the whole component is its least size.
+    None when some component (an isolated vertex) cannot be covered, and for
+    the empty graph.
+    """
     if g.order == 0:
         return None
     total = 0
     for comp in g.components():
-        bit = {v: 1 << i for i, v in enumerate(comp.vertices)}
+        index = {v: i for i, v in enumerate(comp.vertices)}
+        nbrs = [[index[w] for w in comp.neighbors(v)] for v in comp.vertices]
+        masks = [sum(1 << w for w in ws) for ws in nbrs]
         full = (1 << comp.order) - 1
-        masks = [sum(bit[w] for w in comp.neighbors(v)) for v in comp.vertices]
-        size = next(
-            (k for k in range(1, comp.order + 1) if any(reduce(or_, c) == full for c in combinations(masks, k))),
-            None,
-        )
-        if size is None:
+        reach, k = {0}, 0
+        while reach and full not in reach:
+            # ((m + 1) & ~m) is the lowest bit m misses
+            reach = {m | masks[w] for m in reach for w in nbrs[((m + 1) & ~m).bit_length() - 1]}
+            k += 1
+        if not reach:
             return None
-        total += size
+        total += k
     return total
 
 

@@ -116,11 +116,12 @@ def tdp_by_components(g: Graph) -> IntPoly:
     component size; the empty graph still maps to the zero polynomial. A
     connected graph is counted as it is, without a copy.
     """
-    if g.is_connected():
+    sets = list(g._component_sets())
+    if len(sets) <= 1:
         return brute_force_tdp(g)
     out = IntPoly.one()
-    for comp in g.components():
-        out = out * brute_force_tdp(comp)
+    for comp in sets:
+        out = out * brute_force_tdp(g._induced(comp))
         if not out:
             return out
     return out

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from tdpoly.extremal import (
+    _gamma_by_cover_search,
     degree2_row,
     free_trees,
     gamma_bounds_row,
@@ -25,12 +26,14 @@ from tdpoly.graph import (
     disjoint_union,
     fixed_small_corpus,
     path_graph,
+    random_connected_graph,
+    random_forest,
     star_graph,
     two_corona,
 )
 from tdpoly.polynomial import IntPoly
 
-from helpers import labeled_tree_census, pairwise_minimal_flags, random_tree, tree_bound_row
+from helpers import labeled_tree_census, naive_gamma, pairwise_minimal_flags, random_tree, tree_bound_row
 
 
 # -- tree coefficient bound ----------------------------------------------------
@@ -308,6 +311,26 @@ def test_gamma_row_fails_on_a_wrong_min_degree(monkeypatch):
     failed = {f.param for f in report.failures}
     assert failed == {"gamma-is-min-degree"}
     assert len(report.failures) == len(corpus)
+
+
+def test_cover_search_matches_plain_enumeration():
+    rng = random.Random(29)
+    graphs = [Graph([]), Graph([0]), Graph([3, 8], [(3, 8)]), disjoint_union(path_graph(2), Graph([0]))]
+    for _ in range(60):
+        n = rng.randint(1, 11)
+        g = random_connected_graph(n, rng.uniform(0.0, 0.5), rng.randrange(2**32))
+        graphs += [g, random_forest(n, rng.randrange(2**32)), disjoint_union(g, cycle_graph(rng.randint(3, 5)))]
+    for g in graphs:
+        assert _gamma_by_cover_search(g) == naive_gamma(g), g.edges
+
+
+def test_cover_search_on_long_paths_and_cycles():
+    # gamma_t(P_n) = gamma_t(C_n) = floor(n/2) + ceil(n/4) - floor(n/4), n >= 3;
+    # at these orders a search over all k-subsets would not finish
+    for n in range(3, 61):
+        expected = n // 2 + (n % 4 != 0)
+        assert _gamma_by_cover_search(path_graph(n)) == expected, n
+        assert _gamma_by_cover_search(cycle_graph(n)) == expected, n
 
 
 def test_verify_basic_identities_passes():

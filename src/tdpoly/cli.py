@@ -50,7 +50,7 @@ from .graph import (
     star_graph,
     two_corona,
 )
-from .oracle import brute_force_tdp
+from .oracle import MAX_ENUM_ORDER, brute_force_tdp
 from .polynomial import IntPoly
 from .reduction import (
     cycle_tdp,
@@ -347,11 +347,13 @@ def _verify_corpus(trials: int, n_max: int, seed: int) -> list[Graph]:
 
 def _prop1_corpus(trials: int, n_max: int, seed: int) -> list[Graph]:
     """Connected corpus plus structured members exercising the edge cases:
-    a lone vertex (undominatable), and disconnected unions of corpus graphs."""
+    a lone vertex (undominatable), and disconnected unions of corpus graphs
+    (a pair whose union is past the oracle's cap is left out)."""
     graphs = _verify_corpus(trials, n_max, seed)
     extras: list[Graph] = [Graph([0]), disjoint_union(path_graph(2), Graph([0]))]
     for a, b in zip(graphs[0::7], graphs[1::7]):
-        extras.append(disjoint_union(a, b))
+        if a.order + b.order <= MAX_ENUM_ORDER:
+            extras.append(disjoint_union(a, b))
     return graphs + extras
 
 

@@ -153,66 +153,64 @@ def forest_at_minus_one(g: Graph) -> int:
 
 # -- verification suites ------------------------------------------------------
 
+# the closed-form suite's grid of points and its relative error bound
+CLOSED_FORM_POINTS = (1.0, 2.0, -2.0, 0.5, -1.0, -0.5)
+CLOSED_FORM_REL_TOL = 1e-6
+# the minus-one suite's largest star and largest random forest
+MINUS_ONE_STAR_N_MAX = 20
+MINUS_ONE_FOREST_ORDER_MAX = 16
 
-def verify_closed_forms(
-    n_max: int = 30,
-    points: tuple = (1.0, 2.0, -2.0, 0.5, -1.0, -0.5),
-    rel_tol: float = 1e-6,
-) -> VerificationReport:
+
+def verify_closed_forms(n_max: int = 30) -> VerificationReport:
     """Closed forms against exact recurrence values on a grid of points.
 
     The recurrence's polynomial is evaluated by ``IntPoly.evaluate``; the
-    closed form must land within rel_tol relative error at every (n, x).
-    Both round the same exact value once, so they agree to the bit.
+    closed form must land within CLOSED_FORM_REL_TOL relative error at every
+    (n, x) with x in CLOSED_FORM_POINTS. Both round the same exact value
+    once, so they agree to the bit.
     """
     report = VerificationReport(
-        "closedform", {"n_max": n_max, "points": list(points), "rel_tol": rel_tol}
+        "closedform", {"n_max": n_max, "points": list(CLOSED_FORM_POINTS), "rel_tol": CLOSED_FORM_REL_TOL}
     )
     for n in range(1, n_max + 1):
         exact_p = path_tdp(n)
         exact_c = cycle_tdp(n) if n >= 3 else None
-        for x in points:
+        for x in CLOSED_FORM_POINTS:
             if complex(x) in (0j, complex(-4)):
                 continue
             exact = exact_p.evaluate(x)
             approx = path_closed_eval(n, x)
-            ok = abs(approx - exact) <= rel_tol * (1 + abs(exact))
+            ok = abs(approx - exact) <= CLOSED_FORM_REL_TOL * (1 + abs(exact))
             report.record_check("", f"path n={n} x={x}", ok, exact, approx)
             if exact_c is not None:
                 exact = exact_c.evaluate(x)
                 approx = cycle_closed_eval(n, x)
-                ok = abs(approx - exact) <= rel_tol * (1 + abs(exact))
+                ok = abs(approx - exact) <= CLOSED_FORM_REL_TOL * (1 + abs(exact))
                 report.record_check("", f"cycle n={n} x={x}", ok, exact, approx)
     return report
 
 
-def verify_minus_one(
-    path_n_max: int = 60,
-    star_n_max: int = 20,
-    forest_trials: int = 500,
-    forest_order_max: int = 16,
-    seed: int = 42,
-) -> VerificationReport:
+def verify_minus_one(path_n_max: int = 60, forest_trials: int = 500, seed: int = 42) -> VerificationReport:
     """Exact values at -1: path residue rule, star constancy, forest range."""
     report = VerificationReport(
         "minus-one",
         {
             "path_n_max": path_n_max,
-            "star_n_max": star_n_max,
+            "star_n_max": MINUS_ONE_STAR_N_MAX,
             "forest_trials": forest_trials,
-            "forest_order_max": forest_order_max,
+            "forest_order_max": MINUS_ONE_FOREST_ORDER_MAX,
             "seed": seed,
         },
     )
     for n in range(1, path_n_max + 1):
         exact, rule = path_tdp(n).evaluate(-1), path_at_minus_one(n)
         report.record_check("", f"path n={n}", exact == rule, exact, rule)
-    for n in range(2, star_n_max + 1):
+    for n in range(2, MINUS_ONE_STAR_N_MAX + 1):
         value = star_at_minus_one(n)
         report.record_check("", f"star n={n}", value == 1, 1, value)
     master = random.Random(seed)
     for trial in range(forest_trials):
-        n = master.randint(1, forest_order_max)
+        n = master.randint(1, MINUS_ONE_FOREST_ORDER_MAX)
         g = random_forest(n, master.randrange(2**32))
         value = forest_at_minus_one(g)
         report.record_check("", f"forest trial={trial} n={n}", value in (0, 1), "0 or 1", value)

@@ -139,7 +139,7 @@ def _tree_census(suite: str, n: int) -> tuple[dict[str, IntPoly], dict[IntPoly, 
     poly_of: dict[str, IntPoly] = {}
     classes: dict[IntPoly, dict] = {}
     for edges, form, aut in free_trees(n):
-        t = Graph(range(n), edges)
+        t = Graph._from_edges(range(n), edges)
         weight = factorial(n) // aut
         poly = poly_of[form] = brute_force_tdp(t)
         cls = classes.setdefault(poly, {"labeled_count": 0, "star_count": 0})
@@ -372,39 +372,18 @@ def scan_degree2(trials: int, n_max: int, seed: int) -> ScanReport:
 def is_two_corona(g: Graph) -> bool:
     """True when g is some base graph with a 2-vertex tail grafted on each vertex.
 
-    Looks for a partition into triples (base, mid, tip) where mid has
-    neighborhood exactly {base, tip} and tip's sole neighbor is mid; any
-    remaining edges then necessarily join base vertices. Backtracks over the
-    (few) candidate triples per vertex.
+    The middle vertices of a 2-corona are exactly its degree-2 vertices with
+    a pendant neighbour (a P_3 component has one, its centre, and either end
+    can be the tip). So g is a 2-corona when the closed neighbourhoods of
+    those vertices, one triple (base, mid, tip) each, are disjoint and cover
+    V; any remaining edges then necessarily join base vertices.
     """
-    n = g.order
-    if n == 0 or n % 3:
-        return False
-    candidates: list[tuple[int, int, int]] = []
-    for m in g.vertices:
-        nb = g.neighbors(m)
-        if len(nb) != 2:
-            continue
-        for p in nb:
-            if g.degree(p) == 1:
-                (b,) = nb - {p}
-                candidates.append((b, m, p))
-    by_vertex: dict[int, list[tuple[int, int, int]]] = {v: [] for v in g.vertices}
-    for triple in candidates:
-        for v in triple:
-            by_vertex[v].append(triple)
-
-    def cover(remaining: frozenset) -> bool:
-        if not remaining:
-            return True
-        v = min(remaining)
-        for triple in by_vertex[v]:
-            if remaining.issuperset(triple):
-                if cover(remaining - frozenset(triple)):
-                    return True
-        return False
-
-    return cover(frozenset(g.vertices))
+    triples = [
+        g.neighbors(m) | {m}
+        for m in g.vertices
+        if g.degree(m) == 2 and any(g.degree(p) == 1 for p in g.neighbors(m))
+    ]
+    return g.order > 0 and 3 * len(triples) == g.order and len(set().union(*triples)) == g.order
 
 
 def gamma_bounds_row(g: Graph) -> dict:
@@ -439,13 +418,18 @@ def gamma_bounds_row(g: Graph) -> dict:
     }
 
 
-def gamma_scan_corpus(trials: int, n_max: int, seed: int, corona_trials: int = 10, corona_base_max: int = 6) -> list[Graph]:
+# 2-coronas in the bounds scan's corpus, and the largest base order among them
+CORONA_TRIALS = 10
+CORONA_BASE_MAX = 6
+
+
+def gamma_scan_corpus(trials: int, n_max: int, seed: int) -> list[Graph]:
     """Connected corpus for the bounds scan: fixed shapes, random graphs, 2-coronas."""
     graphs = [g for g in fixed_small_corpus() if g.order >= 3]
     graphs.extend(random_connected_corpus(trials, n_max, seed, n_min=3))
     master = random.Random(seed)
-    for _ in range(corona_trials):
-        k = master.randint(1, corona_base_max)
+    for _ in range(CORONA_TRIALS):
+        k = master.randint(1, CORONA_BASE_MAX)
         base = random_connected_graph(k, master.uniform(0.0, 0.6), master.randrange(2**32))
         graphs.append(two_corona(base))
     return graphs

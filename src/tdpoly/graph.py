@@ -21,9 +21,13 @@ MAX_TREE_ENUM_ORDER = 9
 
 
 class Graph:
-    """Simple undirected graph over an arbitrary set of integer labels."""
+    """Simple undirected graph over an arbitrary set of integer labels.
 
-    __slots__ = ("_adj", "_key")
+    The graph is its adjacency map, label -> frozenset of neighbours; the
+    sorted vertex and edge tuples are derived from it when first read.
+    """
+
+    __slots__ = ("_adj", "_vertices", "_edges")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {int(v): set() for v in vertices}
@@ -36,16 +40,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
-        self._key = (
-            tuple(sorted(self._adj)),
-            tuple(sorted((min(u, v), max(u, v)) for u, v in self._iter_edges())),
-        )
-
-    def _iter_edges(self) -> Iterator[tuple[int, int]]:
-        for v, nbrs in self._adj.items():
-            for w in nbrs:
-                if v < w:
-                    yield (v, w)
+        self._vertices = self._edges = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -57,17 +52,21 @@ class Graph:
     @property
     def vertices(self) -> tuple[int, ...]:
         """Live labels in ascending order."""
-        return self._key[0]
+        if self._vertices is None:
+            self._vertices = tuple(sorted(self._adj))
+        return self._vertices
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (min, max) pairs in ascending order."""
-        return self._key[1]
+        if self._edges is None:
+            self._edges = tuple(sorted([(v, w) for v, nbrs in self._adj.items() for w in nbrs if v < w]))
+        return self._edges
 
     @property
     def size(self) -> int:
         """Number of edges."""
-        return len(self._key[1])
+        return sum(map(len, self._adj.values())) // 2
 
     def __contains__(self, v: int) -> bool:
         return v in self._adj
@@ -89,10 +88,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._key == other._key
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(frozenset(self._adj.items()))
 
     def __repr__(self) -> str:
         return f"Graph(vertices={list(self.vertices)!r}, edges={list(self.edges)!r})"
@@ -100,37 +99,28 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     @classmethod
-    def _derived(cls, adj: dict[int, frozenset[int]], edges: list[tuple[int, int]]) -> "Graph":
-        """Graph from a valid graph's adjacency after a derivation, with its
-        edges as ascending (min, max) pairs: the constructor's checks are
-        skipped, since a derivation keeps the graph simple and symmetric.
-
-        ``edges`` is a list: built from generators instead, these tuples
-        raised the peak RSS of 16 scan-verify benchmark cycles by 2 MB."""
+    def _derived(cls, adj: dict[int, frozenset[int]]) -> "Graph":
+        """Graph on a simple, symmetric adjacency map built by tdpoly itself
+        (a derivation of a valid graph, or a generator): the constructor's
+        checks are skipped."""
         g = object.__new__(cls)
         g._adj = adj
-        g._key = (tuple(sorted(adj)), tuple(edges))
+        g._vertices = g._edges = None
         return g
 
     @classmethod
-    def _from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Graph on 0..n-1 from distinct edges between distinct labels in
-        range, either way round: the constructor's checks are skipped, so
-        only tdpoly's own generators call this."""
-        adj: list[list[int]] = [[] for _ in range(n)]
-        pairs = []
+    def _from_edges(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Graph on distinct labels from distinct edges between distinct
+        labels among them, either way round: the constructor's checks are
+        skipped, so only tdpoly's own generators call this."""
+        adj: dict[int, list[int]] = {v: [] for v in vertices}
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-            pairs.append((u, v) if u < v else (v, u))
-        pairs.sort()
-        return cls._derived(dict(enumerate(map(frozenset, adj))), pairs)
+        return cls._derived(dict(zip(adj, map(frozenset, adj.values()))))
 
     def _induced(self, keep: set[int]) -> "Graph":
-        return Graph._derived(
-            {v: self._adj[v] & keep for v in keep},
-            [(u, v) for u, v in self.edges if u in keep and v in keep],
-        )
+        return Graph._derived({v: self._adj[v] & keep for v in keep})
 
     def delete_vertex(self, u: int) -> "Graph":
         """Induced subgraph on the live vertices minus u."""
@@ -144,10 +134,9 @@ class Graph:
         """
         self._require_live(u)
         nu = self._adj[u]
-        adj = {v: (nbrs | nu) - {u, v} if v in nu else nbrs for v, nbrs in self._adj.items() if v != u}
-        edges = {(a, b) for a, b in self.edges if a != u and b != u}
-        edges.update(combinations(sorted(nu), 2))
-        return Graph._derived(adj, sorted(edges))
+        return Graph._derived(
+            {v: (nbrs | nu) - {u, v} if v in nu else nbrs for v, nbrs in self._adj.items() if v != u}
+        )
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         """Remove the edge uv, both endpoints stay."""
@@ -156,8 +145,7 @@ class Graph:
         adj = dict(self._adj)
         adj[u] -= {v}
         adj[v] -= {u}
-        edge = (min(u, v), max(u, v))
-        return Graph._derived(adj, [e for e in self.edges if e != edge])
+        return Graph._derived(adj)
 
     def without_closed_neighborhoods(self, sources: Sequence[int]) -> "Graph":
         """Induced subgraph on V minus the union of N[s] over the sources.
@@ -289,21 +277,21 @@ def path_graph(n: int) -> Graph:
     """P_n on labels 0..n-1 in order; P_0 is the empty graph."""
     if n < 0:
         raise ValueError("path order must be nonnegative")
-    return Graph._from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph._from_edges(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     """C_n on labels 0..n-1 with the closing edge (n-1, 0)."""
     if n < 3:
         raise ValueError("cycle order must be at least 3")
-    return Graph._from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph._from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(n: int) -> Graph:
     """S_n = K_{1,n-1}: center 0, leaves 1..n-1."""
     if n < 2:
         raise ValueError("star order must be at least 2")
-    return Graph._from_edges(n, [(0, i) for i in range(1, n)])
+    return Graph._from_edges(range(n), [(0, i) for i in range(1, n)])
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -311,7 +299,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     offset = (max(g1.vertices) + 1) if g1.order else 0
     shifted_v = [v + offset for v in g2.vertices]
     shifted_e = [(u + offset, v + offset) for u, v in g2.edges]
-    return Graph(list(g1.vertices) + shifted_v, list(g1.edges) + shifted_e)
+    return Graph._from_edges(list(g1.vertices) + shifted_v, list(g1.edges) + shifted_e)
 
 
 def two_corona(base: Graph) -> Graph:
@@ -328,7 +316,7 @@ def two_corona(base: Graph) -> Graph:
         nxt += 2
         vertices += [mid, tip]
         edges += [(v, mid), (mid, tip)]
-    return Graph(vertices, edges)
+    return Graph._from_edges(vertices, edges)
 
 
 # -- Pruefer-sequence machinery ---------------------------------------------
@@ -336,8 +324,6 @@ def two_corona(base: Graph) -> Graph:
 
 def _prufer_decode(seq: Sequence[int], n: int) -> Graph:
     """Labeled tree on 0..n-1 from a Pruefer sequence of length n-2 (n >= 2)."""
-    if n == 2:
-        return Graph._from_edges(2, [(0, 1)])
     degree = [1] * n
     for s in seq:
         degree[s] += 1
@@ -357,7 +343,7 @@ def _prufer_decode(seq: Sequence[int], n: int) -> Graph:
                 ptr += 1
             leaf = ptr
     edges.append((leaf, n - 1))
-    return Graph._from_edges(n, edges)
+    return Graph._from_edges(range(n), edges)
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:
@@ -368,14 +354,12 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
     if n == 1:
-        return Graph([0])
+        return Graph._from_edges([0], ())
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    tree = _prufer_decode(seq, n)
-    edges = set(tree.edges)
-    for pair in combinations(range(n), 2):
-        if pair not in edges and rng.random() < p:
-            edges.add(pair)
-    return Graph._from_edges(n, edges)
+    tree = _prufer_decode(seq, n)._adj
+    # a draw only for the pairs the tree lacks
+    edges = [(u, v) for u, v in combinations(range(n), 2) if v in tree[u] or rng.random() < p]
+    return Graph._from_edges(range(n), edges)
 
 
 def all_labeled_trees(n: int) -> Iterator[Graph]:
@@ -395,10 +379,7 @@ def all_labeled_trees(n: int) -> Iterator[Graph]:
             f"({MAX_TREE_ENUM_ORDER}^{MAX_TREE_ENUM_ORDER - 2} decodes)"
         )
     if n == 1:
-        yield Graph([0])
-        return
-    if n == 2:
-        yield Graph(range(2), [(0, 1)])
+        yield Graph._from_edges([0], ())
         return
     for seq in product(range(n), repeat=n - 2):
         yield _prufer_decode(seq, n)
@@ -410,12 +391,12 @@ def random_forest(n: int, seed: int) -> Graph:
         raise ValueError("order must be at least 1")
     rng = random.Random(seed)
     if n == 1:
-        return Graph([0])
+        return Graph._from_edges([0], ())
     seq = [rng.randrange(n) for _ in range(n - 2)]
     tree = _prufer_decode(seq, n)
     drop = rng.uniform(0.0, 0.5)
     edges = [e for e in tree.edges if rng.random() >= drop]
-    return Graph._from_edges(n, edges)
+    return Graph._from_edges(range(n), edges)
 
 
 # -- verification corpora -----------------------------------------------------

@@ -66,6 +66,31 @@ def closed_neighborhood(g, v):
     return g.neighbors(v) | {v}
 
 
+def two_corona_by_partition(g):
+    """Whether V splits into triples (base, mid, tip) where mid's neighbourhood
+    is exactly {base, tip} and tip's sole neighbour is mid: a backtracking
+    search over every candidate triple of every vertex."""
+    if g.order == 0 or g.order % 3:
+        return False
+    by_vertex = {v: [] for v in g.vertices}
+    for m in g.vertices:
+        nb = g.neighbors(m)
+        if len(nb) != 2:
+            continue
+        for tip in nb:
+            if g.degree(tip) == 1:
+                (base,) = nb - {tip}
+                for v in (base, m, tip):
+                    by_vertex[v].append(frozenset((base, m, tip)))
+
+    def cover(remaining):
+        if not remaining:
+            return True
+        return any(triple <= remaining and cover(remaining - triple) for triple in by_vertex[min(remaining)])
+
+    return cover(frozenset(g.vertices))
+
+
 def random_tree(n, seed):
     """Uniform random labeled tree on 0..n-1 (Pruefer decode of a seeded RNG)."""
     if n < 1:

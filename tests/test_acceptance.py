@@ -168,7 +168,7 @@ def test_criterion_05_conditioned_path_recurrence():
 
 def test_criterion_06_closed_forms():
     started = time.monotonic()
-    report = verify_closed_forms(n_max=30)  # defaults pin x in {1,2,-2,0.5,-1,-0.5}
+    report = verify_closed_forms(n_max=30)  # CLOSED_FORM_POINTS: x in {1,2,-2,0.5,-1,-0.5}
     minus_one_bad = [
         n for n in range(1, 61) if path_tdp(n).evaluate(-1) != path_at_minus_one(n)
     ]
@@ -191,9 +191,7 @@ def test_criterion_07_values_at_minus_one():
     star_bad = [
         n for n in range(2, 21) if tree_tdp(star_graph(n)).evaluate(-1) != 1
     ]
-    report = verify_minus_one(
-        path_n_max=60, star_n_max=20, forest_trials=500, forest_order_max=16, seed=SEED
-    )
+    report = verify_minus_one(path_n_max=60, forest_trials=500, seed=SEED)  # stars to 20, forests to 16
     ok = not star_bad and report.passed and report.instances == 60 + 19 + 500
     finish(
         "criterion 7: star value 1 at -1 and forest values in {0,1}",

@@ -485,10 +485,17 @@ n 20
 
 # sha256 of the stdout of requests built on many small oracle calls, graph
 # builds and polynomial sums, frozen before the kernel's pure-int path, the
-# oracle's early zero and the unchecked graph derivations, and (the last
-# three) before the trusted graph and polynomial constructors, so none of
-# these changes a byte. "{graph20}" names a file holding GRAPH_20.
+# oracle's early zero and the unchecked graph derivations, (the last three)
+# before the trusted graph and polynomial constructors, and (the first three)
+# before graphs kept only their adjacency, so none of these changes a byte.
+# "{graph20}" names a file holding GRAPH_20.
 SMALL_CALL_DIGESTS = {
+    "verify --suite theorem1 --n-max 8 --trials 20 --seed 5":
+        "97dc6b2d4d80e8f08c36c38f507d2993dcadc06e4003f96de2afd7e60d2029bb",
+    "verify --suite theorem3 --n-max 8 --trials 20 --seed 5":
+        "f31213037f242fb487c8e9bcda4ee85051d8b1af214405227f352fc3df660d22",
+    "verify --suite prop1 --n-max 13 --trials 20 --seed 3":
+        "3c3f81f68687953fde1cfb767282a4d5cbb7705addb9de6dd17522c2e4b4b085",
     "verify --suite theorem1 --n-max 10 --trials 12 --seed 5":
         "8d449578d38804de5fb407a8a6764446b4cd45853f4809ac704769e6a41c30ac",
     "verify --suite theorem3 --n-max 10 --trials 12 --seed 5":
@@ -515,6 +522,14 @@ def test_small_call_suites_bytes_frozen(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, argv.format(graph20=graph20).split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SMALL_CALL_DIGESTS[argv]
+
+
+def test_prop1_unions_stay_within_the_oracle_cap(capsys):
+    # at --n-max 16 two corpus graphs can add up to more than 26 vertices;
+    # such a pair is not joined, so the suite runs instead of exiting 3
+    code, out, err = run_cli(capsys, ["verify", "--suite", "prop1", "--n-max", "16", "--seed", "3"])
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["passed"] and report["instances"] > 0
 
 
 @pytest.mark.parametrize(

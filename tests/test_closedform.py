@@ -158,10 +158,10 @@ def test_verify_closed_forms_passes():
 
 
 def test_verify_minus_one_passes():
-    report = verify_minus_one(path_n_max=30, star_n_max=10, forest_trials=50)
+    report = verify_minus_one(path_n_max=30, forest_trials=50)
     assert report.suite == "minus-one"
     assert report.passed
-    assert report.instances == 30 + 9 + 50
+    assert report.instances == 30 + 19 + 50
 
 
 # every finite float except the singular points, tiny and huge ones included

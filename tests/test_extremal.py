@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -33,7 +33,14 @@ from tdpoly.graph import (
 )
 from tdpoly.polynomial import IntPoly
 
-from helpers import labeled_tree_census, naive_gamma, pairwise_minimal_flags, random_tree, tree_bound_row
+from helpers import (
+    labeled_tree_census,
+    naive_gamma,
+    pairwise_minimal_flags,
+    random_tree,
+    tree_bound_row,
+    two_corona_by_partition,
+)
 
 
 # -- tree coefficient bound ----------------------------------------------------
@@ -258,6 +265,19 @@ def test_is_two_corona_examples():
     assert not is_two_corona(Graph([]))
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_is_two_corona_matches_a_partition_search_on_every_graph(n):
+    pairs = list(combinations(range(n), 2))
+    coronas = 0
+    for mask in range(1 << len(pairs)):
+        g = Graph(range(n), [e for i, e in enumerate(pairs) if mask >> i & 1])
+        found = two_corona_by_partition(g)
+        assert is_two_corona(g) == found, g
+        coronas += found
+    # 3 labeled P_3; on 6 vertices, 2-coronas of K_1 + K_1 (P_3 + P_3) and of K_2 (P_6)
+    assert coronas == {3: 3, 6: 10 * 9 + 360}[n]
+
+
 def test_gamma_bounds_rows():
     row = gamma_bounds_row(cycle_graph(6))
     assert row["gamma_t"] == 4 and row["equality"] and row["equality_shape"] == "C6"
@@ -280,12 +300,12 @@ def test_gamma_bounds_row_rejects_small_or_disconnected():
 
 
 def test_scan_gamma_bounds():
-    graphs = gamma_scan_corpus(trials=10, n_max=8, seed=42, corona_trials=4, corona_base_max=4)
+    graphs = gamma_scan_corpus(trials=10, n_max=8, seed=42)
     report = scan_gamma_bounds(graphs, {"seed": 42})
     assert report.summary["instances"] == len(graphs)
     assert report.summary["all_ok"]
     # the generated coronas guarantee equality cases appear
-    assert report.summary["equality_instances"] >= 4
+    assert report.summary["equality_instances"] >= 10
 
 
 def test_scan_report_csv_shape():

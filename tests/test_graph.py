@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpoly.errors import BudgetError, GraphParseError
+from tdpoly.extremal import free_trees
 from tdpoly.graph import (
     Graph,
     all_labeled_trees,
@@ -185,9 +186,10 @@ def reference_components(vertices, edges):
 
 
 def assert_same_graph(got, want):
+    # ==, hash and size come first, while got's edge tuple may be unread
     assert got == want and hash(got) == hash(want)
-    assert got.vertices == want.vertices and got.edges == want.edges
     assert got.order == want.order and got.size == want.size
+    assert got.vertices == want.vertices and got.edges == want.edges
     assert all(got.neighbors(v) == want.neighbors(v) for v in want.vertices)
 
 
@@ -208,7 +210,12 @@ def test_derived_graphs_match_the_validating_constructor():
 
         def built(vs, keep=lambda e: True, extra=()):
             vs = set(vs)
-            return Graph(vs, [tuple(e) for e in pairs if e <= vs and keep(e)] + list(extra))
+            kept = [tuple(e) for e in pairs if e <= vs and keep(e)] + list(extra)
+            want = Graph(vs, kept)
+            # labels ascending, edges as ascending (min, max) pairs
+            assert want.vertices == tuple(sorted(vs))
+            assert want.edges == tuple(sorted({(min(e), max(e)) for e in kept}))
+            return want
 
         u = rng.choice(labels)
         assert_same_graph(g.delete_vertex(u), built(set(labels) - {u}))
@@ -225,9 +232,10 @@ def test_derived_graphs_match_the_validating_constructor():
         assert len(comps) == len(want), trial
         for got, vs in zip(comps, want):
             assert_same_graph(got, built(vs))
-        # the parent is untouched
+        # the parent, whose edge tuple was never read, is untouched
         assert all(g.neighbors(v) == before[v] for v in labels)
-        assert g == Graph(labels, edges)
+        assert g == Graph(labels, edges) and g.size == len(pairs)
+        assert g.edges == tuple(sorted((min(e), max(e)) for e in pairs))
 
 
 def test_connectivity_and_forest():
@@ -443,9 +451,10 @@ def test_graph_rejects_bad_edges():
 
 def test_generators_match_the_validating_constructor():
     # the generators build through the unchecked constructor; each graph must
-    # be the one the validating constructor builds from the same edges
+    # be the one the validating constructor builds from the same neighbours,
+    # compared before the generated graph's edge tuple is first read
     def checked(g):
-        return Graph(range(g.order), g.edges)
+        return Graph(range(g.order), [(v, w) for v in range(g.order) for w in g.neighbors(v)])
 
     for n in range(0, 12):
         assert_same_graph(path_graph(n), checked(path_graph(n)))
@@ -469,3 +478,26 @@ def test_generators_match_the_validating_constructor():
     for n in range(1, 6):
         for t in all_labeled_trees(n):
             assert_same_graph(t, checked(t))
+    assert list(all_labeled_trees(2)) == [path_graph(2)]
+    for n in range(1, 8):
+        for edges, _, _ in free_trees(n):
+            assert_same_graph(Graph._from_edges(range(n), edges), Graph(range(n), edges))
+    # gapped labels in shuffled order, edges either way round
+    for _ in range(40):
+        labels = rng.sample(range(50), rng.randint(1, 12))
+        edges = [(a, b) if rng.random() < 0.5 else (b, a)
+                 for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < 0.4]
+        assert_same_graph(Graph._from_edges(labels, edges), Graph(labels, edges))
+    assert_same_graph(disjoint_union(cycle_graph(3), path_graph(2)), Graph(range(5), [(0, 1), (1, 2), (2, 0), (3, 4)]))
+    assert_same_graph(disjoint_union(Graph([]), path_graph(2)), path_graph(2))
+    gapped = cycle_graph(5).delete_vertex(2)  # labels 0, 1, 3, 4
+    assert_same_graph(
+        disjoint_union(gapped, gapped),
+        Graph([0, 1, 3, 4, 5, 6, 8, 9], [(0, 1), (3, 4), (4, 0), (5, 6), (8, 9), (9, 5)]),
+    )
+    assert_same_graph(two_corona(path_graph(2)), Graph(range(6), [(0, 1), (0, 2), (2, 3), (1, 4), (4, 5)]))
+    assert_same_graph(two_corona(gapped), Graph(
+        [0, 1, 3, 4, *range(5, 13)],
+        [(0, 1), (3, 4), (4, 0), (0, 5), (5, 6), (1, 7), (7, 8), (3, 9), (9, 10), (4, 11), (11, 12)],
+    ))
+    assert_same_graph(two_corona(Graph([])), Graph([]))

@@ -25,7 +25,6 @@ from .extremal import (
     gamma_scan_corpus,
     is_two_corona,
     minimal_tree_scan,
-    non_supporting_pair_set,
     scan_degree2,
     scan_gamma_bounds,
     scan_tree_bound,
@@ -98,7 +97,6 @@ __all__ = [
     "is_star_shaped",
     "is_two_corona",
     "minimal_tree_scan",
-    "non_supporting_pair_set",
     "parse_edge_list",
     "path_at_minus_one",
     "path_closed_eval",

@@ -14,7 +14,8 @@ flag its report names in `checks` holds.
 
 Exit codes: 0 success, 1 a verify/scan suite found failures, 2 usage or
 parse error (an evaluation beyond the float range included), 3 enumeration
-budget exceeded, 4 internal inconsistency or any other unexpected error.
+budget exceeded or out of memory, 4 internal inconsistency or any other
+unexpected error.
 """
 
 from __future__ import annotations
@@ -122,6 +123,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # a resource limit, like a budget, not a defect
+        print("error: out of memory", file=sys.stderr)
         return 3
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

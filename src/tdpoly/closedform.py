@@ -18,12 +18,13 @@ rounded once per part, as in ``IntPoly.evaluate``.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from .errors import InternalConsistencyError
 from .graph import Graph, random_forest
 from .polynomial import IntPoly, _binary_point, _round_parts
-from .reduction import cycle_tdp, path_tdp, tree_tdp
+from .reduction import _fold_forest, cycle_tdp, path_tdp
 from .reports import VerificationReport
 
 SINGULAR_POINTS = (0.0, -4.0)
@@ -139,11 +140,13 @@ def star_at_minus_one(n: int) -> int:
 def forest_at_minus_one(g: Graph) -> int:
     """Exact D_t(F, -1), always 0 or 1 for forests.
 
-    Raises InternalConsistencyError if the evaluation lands outside {0, 1},
-    since that would contradict the product-of-paths-and-stars structure
-    the value inherits.
+    The forest fold of ``tree_tdp`` runs on ints at x = -1, so the
+    polynomial is never expanded: O(n) integer operations. Raises
+    ValueError on a cycle, and InternalConsistencyError if the value lands
+    outside {0, 1}, since that would contradict the product-of-paths-and-
+    stars structure the value inherits.
     """
-    value = tree_tdp(g).evaluate(-1)
+    value = _fold_forest(g, operator.add, operator.mul, (0, 1, 0, -1))
     if value not in (0, 1):
         raise InternalConsistencyError(
             f"forest value at -1 came out {value}, expected 0 or 1"

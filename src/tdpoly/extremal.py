@@ -291,12 +291,8 @@ def supporting_identity(g: Graph) -> bool:
     return brute_force_tdp(g).coeff(n - 1) == n - len(cls.supporting)
 
 
-def non_supporting_pair_set(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Pairs {a, b} that are exactly some vertex's neighborhood, neither supporting."""
-    return _non_supporting_pairs(g, classify_vertices(g).supporting)
-
-
 def _non_supporting_pairs(g: Graph, supporting: frozenset[int]) -> tuple[tuple[int, int], ...]:
+    """Pairs {a, b} that are exactly some vertex's neighborhood, neither in `supporting`."""
     pairs = set()
     for v in g.vertices:
         nb = g.neighbors(v)

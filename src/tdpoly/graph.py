@@ -324,6 +324,11 @@ def two_corona(base: Graph) -> Graph:
 
 def _prufer_decode(seq: Sequence[int], n: int) -> Graph:
     """Labeled tree on 0..n-1 from a Pruefer sequence of length n-2 (n >= 2)."""
+    return Graph._from_edges(range(n), _prufer_edges(seq, n))
+
+
+def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """The n-1 edges of that tree, in decoding order, either way round."""
     degree = [1] * n
     for s in seq:
         degree[s] += 1
@@ -343,7 +348,7 @@ def _prufer_decode(seq: Sequence[int], n: int) -> Graph:
                 ptr += 1
             leaf = ptr
     edges.append((leaf, n - 1))
-    return Graph._from_edges(range(n), edges)
+    return edges
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:
@@ -393,9 +398,9 @@ def random_forest(n: int, seed: int) -> Graph:
     if n == 1:
         return Graph._from_edges([0], ())
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    tree = _prufer_decode(seq, n)
+    tree = sorted((min(e), max(e)) for e in _prufer_edges(seq, n))  # Graph.edges order
     drop = rng.uniform(0.0, 0.5)
-    edges = [e for e in tree.edges if rng.random() >= drop]
+    edges = [e for e in tree if rng.random() >= drop]
     return Graph._from_edges(range(n), edges)
 
 

@@ -7,13 +7,17 @@ each side must be computed by an independent route. The path/cycle
 recurrences and the forest dynamic programme are the fast paths that fall
 out of those identities: the recurrences run on plain coefficient lists, and
 the forest engine is one bottom-up pass per component over four per-vertex
-states (in W or not, dominated by a child or not).
+states (out of W and dominated by a child, out of W in any case, in W and
+dominated, in W in any case). The pass takes its ring as a parameter (add,
+mul and the leaf's states): `tree_tdp` runs it on coefficient lists, and
+`closedform.forest_at_minus_one` runs it on ints at x = -1, since
+evaluation at a point is a ring homomorphism.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graph import Graph, cycle_graph, path_graph, to_edge_list
 from .oracle import brute_force_tdp, tdp_by_components
@@ -151,33 +155,35 @@ def cycle_tdp(n: int) -> IntPoly:
     return _order4_recurrence(tuple(_CYCLE_BASE[k] for k in range(3, 7)), n - 6, n)
 
 
-# A vertex's four states before any child is folded in: [out-undominated,
-# out-dominated, in-undominated, in-dominated] = [1, 0, x, 0]. The fold only
-# builds new lists, so every vertex can start from this one.
-_LEAF = ([1], [], [0, 1], [])
+def _fold_forest(g: Graph, add: Callable, mul: Callable, leaf: tuple):
+    """D_t(F) of a forest in any commutative ring, by one bottom-up pass per
+    component.
 
+    The ring is given by `add`, `mul` and `leaf` = (0, 1, 0, x), the states
+    of a vertex before any child is folded in. Each component is rooted at
+    its smallest label and its vertices are ordered breadth first. Every
+    vertex v keeps four values counting the sets W in its subtree that
+    dominate every other vertex of the subtree:
 
-def tree_tdp(g: Graph) -> IntPoly:
-    """Exact polynomial for a forest by one bottom-up pass per component.
+    - A: v not in W, and already dominated by a child in W;
+    - B: v not in W, dominated or not;
+    - C: v in W, and already dominated by a child in W;
+    - D: v in W, dominated or not.
 
-    Each component is rooted at its smallest label and its vertices are
-    ordered breadth first. Every vertex v keeps four polynomials counting
-    the sets W in its subtree by size: v in W or not, times v already
-    dominated by a child in W or not; every other vertex of the subtree is
-    dominated. Visiting the vertices in reverse order folds each child c
-    into its parent v:
+    Visiting the vertices in reverse order folds each child c into its
+    parent v. When v is not in W, c must be dominated by its own children;
+    when v is in W, c may be in any state; a child in W dominates v:
 
-    - v in W: any state of c is allowed (v dominates c);
-    - v not in W: c must already be dominated by its own children;
-    - c in W: v becomes dominated.
+        A' = A*cA + B*cC,  B' = B*(cA + cC),
+        C' = C*cB + D*cD,  D' = D*(cB + cD).
 
-    The component polynomial is the sum of the two dominated states at the
-    root, so an isolated vertex gives 0; components multiply. The work is
-    O(n^2) coefficient products for n vertices, with no recursion.
+    A component contributes A + C at its root, so an isolated vertex gives
+    0; components multiply, and the empty forest gives 0. The fold is
+    O(n) ring operations with no recursion; raises ValueError on a cycle.
     """
     if not g.is_forest():
         raise ValueError("input graph contains a cycle")
-    out = [1] if g.order else []
+    out = leaf[1] if g.order else leaf[0]
     adj = g._adj
     seen: set[int] = set()
     for root in g.vertices:
@@ -193,26 +199,32 @@ def tree_tdp(g: Graph) -> IntPoly:
                     seen.add(w)
                     parent[w] = v
                     order.append(w)
-        # state[v] = [out-undominated, out-dominated, in-undominated, in-dominated],
-        # stored once v has a child folded in
-        state = {}
-        for c in reversed(order[1:]):
-            c_out, c_out_dom, c_in, c_in_dom = state.pop(c, _LEAF)
-            v_out, v_out_dom, v_in, v_in_dom = state.get(parent[c], _LEAF)
-            c_any_out, c_any_in = _add_coeffs(c_out, c_out_dom), _add_coeffs(c_in, c_in_dom)
-            state[parent[c]] = [
-                # v not in W: c is dominated by its own children
-                _mul_coeffs(v_out, c_out_dom),
-                _add_coeffs(_mul_coeffs(v_out_dom, _add_coeffs(c_out_dom, c_in_dom)),
-                            _mul_coeffs(v_out, c_in_dom)),
-                # v in W: c in any state
-                _mul_coeffs(v_in, c_any_out),
-                _add_coeffs(_mul_coeffs(v_in_dom, _add_coeffs(c_any_out, c_any_in)),
-                            _mul_coeffs(v_in, c_any_in)),
-            ]
-        _, r_out_dom, _, r_in_dom = state.get(root, _LEAF)
-        out = _mul_coeffs(out, _add_coeffs(r_out_dom, r_in_dom))
-    return ensure_valid_tdp(IntPoly._of(out), g.order)
+        state = {}  # a vertex's (A, B, C, D) once it has a child folded in
+        for child in reversed(order[1:]):
+            ca, cb, cc, cd = state.pop(child, leaf)
+            a, b, c, d = state.get(parent[child], leaf)
+            state[parent[child]] = (
+                add(mul(a, ca), mul(b, cc)),
+                mul(b, add(ca, cc)),
+                add(mul(c, cb), mul(d, cd)),
+                mul(d, add(cb, cd)),
+            )
+        a, _, c, _ = state.get(root, leaf)
+        out = mul(out, add(a, c))
+    return out
+
+
+# (A, B, C, D) of a childless vertex as coefficient lists: (0, 1, 0, x)
+_LEAF_COEFFS = ((), (1,), (), (0, 1))
+
+
+def tree_tdp(g: Graph) -> IntPoly:
+    """Exact polynomial for a forest: the four-state fold on coefficient
+    lists, O(n^2) coefficient products for n vertices. Raises ValueError on
+    a cycle; a forest with an isolated vertex gives 0, and so does the empty
+    forest."""
+    out = _fold_forest(g, _add_coeffs, _mul_coeffs, _LEAF_COEFFS)
+    return ensure_valid_tdp(IntPoly._of(list(out)), g.order)  # () for the empty forest
 
 
 # -- differential verification suites ----------------------------------------

@@ -8,6 +8,8 @@ package's bookkeeping around it (labeled trees against unlabeled ones), so
 one oracle call per labeled tree is the reference route. The three-term
 vertex reduction is built from oracle calls too: the package uses only the
 full identity, and the tests check the shorter form against it.
+`non_supporting_pair_set` is the one wrapper here around package code: only
+the tests ask for the pair set of a whole graph.
 """
 
 import random
@@ -16,7 +18,15 @@ from itertools import combinations
 from math import comb
 
 from tdpoly.closedform import star_tdp
-from tdpoly.graph import Graph, _prufer_decode, all_labeled_trees, is_star_shaped, to_edge_list
+from tdpoly.extremal import _non_supporting_pairs
+from tdpoly.graph import (
+    Graph,
+    _prufer_decode,
+    all_labeled_trees,
+    classify_vertices,
+    is_star_shaped,
+    to_edge_list,
+)
 from tdpoly.oracle import brute_force_tdp, tdp_by_components
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import indicator_tdp
@@ -174,6 +184,11 @@ def simple_vertex_reduction_rhs(g, u):
     for v in sorted(g.neighbors(u)):
         rhs = rhs + IntPoly.monomial(2) * indicator_tdp(g.without_closed_neighborhoods([u, v]))
     return rhs
+
+
+def non_supporting_pair_set(g):
+    """Pairs {a, b} that are exactly some vertex's neighborhood, neither supporting."""
+    return _non_supporting_pairs(g, classify_vertices(g).supporting)
 
 
 def naive_gamma(g):

@@ -712,6 +712,18 @@ def test_unexpected_error_exit_4_one_line(capsys, monkeypatch):
     assert err == "error: internal: RuntimeError: engine fell over\n"
 
 
+def test_out_of_memory_exit_3_one_line(capsys, monkeypatch):
+    # running out of memory is a resource limit, not a defect: exit 3, not 4
+    def exhaust(n):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cycle_tdp", exhaust)
+    code, out, err = run_cli(capsys, ["eval", "--family", "cycle", "--n", "7", "--at", "-1"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, ["--help"])
     assert code == 0

@@ -12,7 +12,6 @@ from tdpoly.extremal import (
     is_two_corona,
     minimal_element,
     minimal_tree_scan,
-    non_supporting_pair_set,
     scan_degree2,
     scan_gamma_bounds,
     scan_tree_bound,
@@ -36,6 +35,7 @@ from tdpoly.polynomial import IntPoly
 from helpers import (
     labeled_tree_census,
     naive_gamma,
+    non_supporting_pair_set,
     pairwise_minimal_flags,
     random_tree,
     tree_bound_row,

@@ -9,6 +9,7 @@ from tdpoly.errors import BudgetError, GraphParseError
 from tdpoly.extremal import free_trees
 from tdpoly.graph import (
     Graph,
+    _prufer_decode,
     all_labeled_trees,
     classify_vertices,
     cycle_graph,
@@ -361,6 +362,17 @@ def test_random_forest_is_forest():
     for seed in range(8):
         f = random_forest(10, seed)
         assert f.order == 10 and f.is_forest()
+
+
+def test_random_forest_thins_its_pruefer_tree_in_edge_order():
+    # reference: the same draws, thinning the edges of the tree built as a Graph
+    for n in range(2, 15):
+        for seed in range(20):
+            rng = random.Random(seed)
+            tree = _prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+            drop = rng.uniform(0.0, 0.5)
+            kept = [e for e in tree.edges if rng.random() >= drop]
+            assert random_forest(n, seed) == Graph(range(n), kept), (n, seed)
 
 
 def test_all_labeled_trees_counts():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -10,11 +11,13 @@ from tdpoly.graph import (
     disjoint_union,
     fixed_small_corpus,
     path_graph,
+    random_forest,
     star_graph,
 )
 from tdpoly.oracle import brute_force_tdp, gamma_t, tdp_by_components
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import (
+    _fold_forest,
     cycle_tdp,
     edge_reduction_rhs,
     indicator_tdp,
@@ -254,6 +257,40 @@ def test_tree_tdp_matches_independent_enumeration():
     for _ in range(10):
         t = random_tree(rng.randint(1, 9), rng.randrange(2**32))
         assert tree_tdp(t) == naive_tdp(t)
+
+
+# -- the forest fold over Z ----------------------------------------------------------
+
+FOLD_POINTS = range(-3, 4)
+
+
+def int_fold(g, x):
+    """D_t(g, x) by the forest fold on Python ints, at the integer x."""
+    return _fold_forest(g, operator.add, operator.mul, (0, 1, 0, x))
+
+
+def assert_int_fold_matches_oracle(g):
+    poly = brute_force_tdp(g)
+    assert [int_fold(g, x) for x in FOLD_POINTS] == [poly.evaluate(x) for x in FOLD_POINTS], g
+
+
+def test_int_fold_matches_oracle_on_every_small_labeled_tree():
+    for n in range(1, 7):
+        for t in all_labeled_trees(n):
+            assert_int_fold_matches_oracle(t)
+
+
+def test_int_fold_matches_oracle_on_random_forests():
+    rng = random.Random(1606)
+    for _ in range(200):
+        assert_int_fold_matches_oracle(random_forest(rng.randint(1, 14), rng.randrange(2**32)))
+
+
+def test_int_fold_small_cases():
+    assert int_fold(Graph([]), -1) == 0
+    assert int_fold(Graph([0]), -1) == 0
+    with pytest.raises(ValueError):
+        int_fold(cycle_graph(5), -1)
 
 
 # -- verification suites -----------------------------------------------------------

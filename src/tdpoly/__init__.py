@@ -13,7 +13,6 @@ from .closedform import (
     forest_at_minus_one,
     path_at_minus_one,
     path_closed_eval,
-    star_at_minus_one,
     star_tdp,
     verify_closed_forms,
     verify_minus_one,
@@ -33,7 +32,6 @@ from .extremal import (
 )
 from .graph import (
     Graph,
-    all_labeled_trees,
     classify_vertices,
     cycle_graph,
     disjoint_union,
@@ -76,7 +74,6 @@ __all__ = [
     "InternalConsistencyError",
     "ScanReport",
     "VerificationReport",
-    "all_labeled_trees",
     "brute_force_tdp",
     "classify_vertices",
     "cycle_closed_eval",
@@ -108,7 +105,6 @@ __all__ = [
     "scan_degree2",
     "scan_gamma_bounds",
     "scan_tree_bound",
-    "star_at_minus_one",
     "star_graph",
     "star_tdp",
     "supporting_identity",

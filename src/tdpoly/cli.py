@@ -216,13 +216,21 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         if args.base is not None:
             with open(args.base, encoding="utf-8") as fh:
                 return two_corona(parse_edge_list(fh.read()))
-        return two_corona(path_graph(args.n))
-    if args.base is not None:
+    elif args.base is not None:
         raise ValueError("--base only applies to --family two-corona")
-    if args.n is None:
+    elif args.n is None:
         raise ValueError(f"--family {args.family} requires --n")
-    maker, _ = _FAMILIES[args.family]
-    return maker(args.n)
+    return _family_member(args.family, args.n)
+
+
+def _family_member(family: str, n: int) -> Graph:
+    """The member of a named family at order parameter n; two-corona's is
+    the 2-corona of P_n. An n below the family's smallest order (its base
+    path's, for two-corona) is a usage error."""
+    maker, lower = _FAMILIES["path" if family == "two-corona" else family]
+    if n < lower:
+        raise ValueError(f"family {family} starts at n = {lower}")
+    return two_corona(maker(n)) if family == "two-corona" else maker(n)
 
 
 def compute_poly(g: Graph, method: str) -> tuple[IntPoly, str]:
@@ -325,12 +333,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if args.n_min > args.n_max:
         raise ValueError("--n-min must not exceed --n-max")
-    maker, lower = _FAMILIES[args.family]
-    if args.n_min < lower:
-        raise ValueError(f"family {args.family} starts at n = {lower}")
     items = []
     for n in range(args.n_min, args.n_max + 1):
-        g = maker(n)
+        g = _family_member(args.family, n)
         poly, used = compute_poly(g, args.method)
         items.append(make_envelope(g, poly, used))
     out = {"family": args.family, "n_min": args.n_min, "n_max": args.n_max, "items": items}

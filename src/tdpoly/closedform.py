@@ -129,29 +129,15 @@ def star_tdp(n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def star_at_minus_one(n: int) -> int:
-    """D_t(S_n, -1) = 1 for every n >= 2 (alternating binomial sum)."""
-    value = star_tdp(n).evaluate(-1)
-    if value != 1:
-        raise InternalConsistencyError(f"star value at -1 came out {value} for n = {n}")
-    return value
-
-
 def forest_at_minus_one(g: Graph) -> int:
-    """Exact D_t(F, -1), always 0 or 1 for forests.
+    """Exact D_t(F, -1), which is 0 or 1 for every forest.
 
     The forest fold of ``tree_tdp`` runs on ints at x = -1, so the
     polynomial is never expanded: O(n) integer operations. Raises
-    ValueError on a cycle, and InternalConsistencyError if the value lands
-    outside {0, 1}, since that would contradict the product-of-paths-and-
-    stars structure the value inherits.
+    ValueError on a cycle. The value is returned unchecked; the minus-one
+    suite's forest rows are what compare it against {0, 1}.
     """
-    value = _fold_forest(g, operator.add, operator.mul, (0, 1, 0, -1))
-    if value not in (0, 1):
-        raise InternalConsistencyError(
-            f"forest value at -1 came out {value}, expected 0 or 1"
-        )
-    return value
+    return _fold_forest(g, operator.add, operator.mul, (0, 1, 0, -1))
 
 
 # -- verification suites ------------------------------------------------------
@@ -209,7 +195,7 @@ def verify_minus_one(path_n_max: int = 60, forest_trials: int = 500, seed: int =
         exact, rule = path_tdp(n).evaluate(-1), path_at_minus_one(n)
         report.record_check("", f"path n={n}", exact == rule, exact, rule)
     for n in range(2, MINUS_ONE_STAR_N_MAX + 1):
-        value = star_at_minus_one(n)
+        value = star_tdp(n).evaluate(-1)
         report.record_check("", f"star n={n}", value == 1, 1, value)
     master = random.Random(seed)
     for trial in range(forest_trials):

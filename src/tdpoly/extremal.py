@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import product
 from math import comb, factorial
 from typing import Iterable
 
 from .closedform import star_tdp
 from .errors import BudgetError, InternalConsistencyError
 from .graph import (
-    MAX_TREE_ENUM_ORDER,
     Graph,
-    all_labeled_trees,
+    _prufer_edges,
     classify_vertices,
     fixed_small_corpus,
     is_cycle_shaped,
@@ -38,6 +38,10 @@ from .graph import (
 from .oracle import brute_force_tdp, gamma_t, tdp_by_components
 from .polynomial import IntPoly
 from .reports import ScanReport, VerificationReport
+
+# The tree scans' largest order: their example walk decodes up to n^(n-2)
+# Pruefer sequences, and 9^7 is the desk-scale limit.
+MAX_TREE_ENUM_ORDER = 9
 
 
 # -- unlabeled trees ----------------------------------------------------------
@@ -156,14 +160,19 @@ def _tree_census(suite: str, n: int) -> tuple[dict[str, IntPoly], dict[IntPoly, 
 def _first_examples(n: int, poly_of: dict[str, IntPoly], wanted: int) -> dict[IntPoly, str]:
     """First labeled tree in Pruefer order for each polynomial, no oracle call.
 
-    Stops once all ``wanted`` polynomials have an example: 52 trees at
-    n = 6, 467 at n = 7, 5 350 at n = 8 and 74 734 at n = 9.
+    The walk decodes each sequence to its edge list and names the class by
+    its canonical form; a graph is built only for a polynomial's first
+    tree. It stops once all ``wanted`` polynomials have an example. The
+    path's comes last at n = 6..9, since the first labeled path is the
+    sequence (0, 1, ..., n-3): the walk stops after 52 trees at n = 6, 467
+    at n = 7, 5 350 at n = 8 and 74 734 at n = 9.
     """
     examples: dict[IntPoly, str] = {}
-    for t in all_labeled_trees(n):
-        poly = poly_of[tree_signature(n, t.edges)[0]]
+    for seq in product(range(n), repeat=n - 2):
+        edges = _prufer_edges(seq, n)
+        poly = poly_of[tree_signature(n, edges)[0]]
         if poly not in examples:
-            examples[poly] = to_edge_list(t)
+            examples[poly] = to_edge_list(Graph._from_edges(range(n), edges))
             if len(examples) == wanted:
                 break
     return examples
@@ -200,39 +209,28 @@ def scan_tree_bound(n: int) -> ScanReport:
         {"n": n},
         columns=("poly", "labeled_count", "star_count", "bound_holds", "equals_star_poly", "count_at_one"),
     )
-    all_bound = True
-    equality_exactly_stars = True
-    best_count = 0
-    best_polys: list[IntPoly] = []
     for poly in sorted(classes, key=lambda p: p.coeffs):
         cls = classes[poly]
-        bound_holds = all(poly.coeff(i) <= comb(n - 1, i - 1) for i in range(2, n + 1))
-        equals_star = poly == star_poly
-        count_at_one = poly.evaluate(1)
-        all_bound &= bound_holds
-        if equals_star:
-            equality_exactly_stars &= cls["star_count"] == cls["labeled_count"]
-        else:
-            equality_exactly_stars &= cls["star_count"] == 0
-        if count_at_one > best_count:
-            best_count = count_at_one
-            best_polys = [poly]
-        elif count_at_one == best_count:
-            best_polys.append(poly)
         report.add_row(
             poly=poly,
             labeled_count=cls["labeled_count"],
             star_count=cls["star_count"],
-            bound_holds=bound_holds,
-            equals_star_poly=equals_star,
-            count_at_one=count_at_one,
+            bound_holds=all(poly.coeff(i) <= comb(n - 1, i - 1) for i in range(2, n + 1)),
+            equals_star_poly=poly == star_poly,
+            count_at_one=poly.evaluate(1),
         )
+    rows = report.rows
+    best_count = max(row["count_at_one"] for row in rows)
+    best_polys = [row["poly"] for row in rows if row["count_at_one"] == best_count]
     report.summary = {
         "n": n,
-        "labeled_trees": sum(cls["labeled_count"] for cls in classes.values()),
-        "distinct_polys": len(classes),
-        "all_bound_hold": all_bound,
-        "equality_exactly_stars": equality_exactly_stars,
+        "labeled_trees": sum(row["labeled_count"] for row in rows),
+        "distinct_polys": len(rows),
+        "all_bound_hold": all(row["bound_holds"] for row in rows),
+        # the star polynomial's trees are all stars, and no other tree is one
+        "equality_exactly_stars": all(
+            row["star_count"] == (row["labeled_count"] if row["equals_star_poly"] else 0) for row in rows
+        ),
         "max_count_at_one": best_count,
         "max_attained_only_by_star_poly": best_polys == [star_poly],
     }

@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetError, GraphParseError
-
-# all_labeled_trees(n) decodes n^(n-2) sequences; 9^7 is the desk-scale limit.
-# The tree scans keep the same cap for their example walk.
-MAX_TREE_ENUM_ORDER = 9
+from .errors import GraphParseError
 
 
 class Graph:
@@ -322,13 +318,9 @@ def two_corona(base: Graph) -> Graph:
 # -- Pruefer-sequence machinery ---------------------------------------------
 
 
-def _prufer_decode(seq: Sequence[int], n: int) -> Graph:
-    """Labeled tree on 0..n-1 from a Pruefer sequence of length n-2 (n >= 2)."""
-    return Graph._from_edges(range(n), _prufer_edges(seq, n))
-
-
 def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """The n-1 edges of that tree, in decoding order, either way round."""
+    """The n-1 edges of the labeled tree on 0..n-1 with Pruefer sequence
+    ``seq`` (length n-2, n >= 2), in decoding order, either way round."""
     degree = [1] * n
     for s in seq:
         degree[s] += 1
@@ -361,33 +353,10 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     if n == 1:
         return Graph._from_edges([0], ())
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    tree = _prufer_decode(seq, n)._adj
+    tree = {(min(e), max(e)) for e in _prufer_edges(seq, n)}
     # a draw only for the pairs the tree lacks
-    edges = [(u, v) for u, v in combinations(range(n), 2) if v in tree[u] or rng.random() < p]
+    edges = [e for e in combinations(range(n), 2) if e in tree or rng.random() < p]
     return Graph._from_edges(range(n), edges)
-
-
-def all_labeled_trees(n: int) -> Iterator[Graph]:
-    """Yield every labeled tree on 0..n-1, one per Pruefer sequence.
-
-    Exactly n^(n-2) trees for n >= 2; a single one-vertex graph for n = 1.
-    The tree scans count labeled trees through unlabeled ones; they walk
-    this generator only to find the first tree in Pruefer order with each
-    polynomial (the minimal-tree example column). The tests use it as the
-    labeled reference route.
-    """
-    if n < 1:
-        raise ValueError("tree order must be at least 1")
-    if n > MAX_TREE_ENUM_ORDER:
-        raise BudgetError(
-            f"all_labeled_trees is capped at n <= {MAX_TREE_ENUM_ORDER} "
-            f"({MAX_TREE_ENUM_ORDER}^{MAX_TREE_ENUM_ORDER - 2} decodes)"
-        )
-    if n == 1:
-        yield Graph._from_edges([0], ())
-        return
-    for seq in product(range(n), repeat=n - 2):
-        yield _prufer_decode(seq, n)
 
 
 def random_forest(n: int, seed: int) -> Graph:

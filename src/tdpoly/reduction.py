@@ -28,24 +28,6 @@ _X = IntPoly.monomial(1)
 _X2 = IntPoly.monomial(2)
 _ONE_PLUS_X = IntPoly((1, 1))
 
-# Small-order path polynomials: P_1 has none, P_2 = x^2,
-# P_3 = x^3 + 2x^2, P_4 = x^4 + 2x^3 + x^2.
-_PATH_BASE = {
-    1: IntPoly.zero(),
-    2: IntPoly((0, 0, 1)),
-    3: IntPoly((0, 0, 2, 1)),
-    4: IntPoly((0, 0, 1, 2, 1)),
-}
-
-# Small cycles: C_3 = x^3 + 3x^2, C_4 = x^4 + 4x^3 + 4x^2,
-# C_5 = x^5 + 5x^4 + 5x^3, C_6 = x^6 + 6x^5 + 9x^4.
-_CYCLE_BASE = {
-    3: IntPoly((0, 0, 3, 1)),
-    4: IntPoly((0, 0, 4, 4, 1)),
-    5: IntPoly((0, 0, 0, 5, 5, 1)),
-    6: IntPoly((0, 0, 0, 0, 9, 6, 1)),
-}
-
 
 def indicator_tdp(g: Graph) -> IntPoly:
     """Total domination polynomial with the empty graph mapped to 1.
@@ -123,10 +105,11 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
     return rhs
 
 
-def _order4_recurrence(seeds: tuple[IntPoly, ...], steps: int, order: int) -> IntPoly:
+def _order4_recurrence(seeds: tuple[tuple[int, ...], ...], steps: int, order: int) -> IntPoly:
     """Run D(k) = x*D(k-1) + x^2*D(k-3) + x^2*D(k-4) `steps` times past the
-    four seeds D(k-4..k-1) on plain coefficient lists; returns the last term."""
-    w0, w1, w2, w3 = (list(p.coeffs) for p in seeds)
+    four seeds D(k-4..k-1), given as coefficient tuples, on plain coefficient
+    lists; returns the last term."""
+    w0, w1, w2, w3 = (list(s) for s in seeds)
     for _ in range(steps):
         # nxt[i+1] += w3[i], nxt[i+2] += w1[i] + w0[i]
         nxt = _add_coeffs([0, *w3], [0, 0, *_add_coeffs(w1, w0)])
@@ -137,22 +120,22 @@ def _order4_recurrence(seeds: tuple[IntPoly, ...], steps: int, order: int) -> In
 def path_tdp(n: int) -> IntPoly:
     """D_t of the path P_n via the order-4 linear recurrence.
 
-    D_t(P_n) = x*D_t(P_{n-1}) + x^2*D_t(P_{n-3}) + x^2*D_t(P_{n-4}).
+    D_t(P_n) = x*D_t(P_{n-1}) + x^2*D_t(P_{n-3}) + x^2*D_t(P_{n-4}), run
+    from P_-2..P_1 = 0, 1, 1, 0: the recurrence continued below P_1, which
+    gives P_2 = x^2, P_3 = x^3 + 2x^2 and P_4 = x^4 + 2x^3 + x^2.
     """
     if n < 1:
         raise ValueError("path order must be at least 1")
-    if n <= 4:
-        return _PATH_BASE[n]
-    return _order4_recurrence(tuple(_PATH_BASE[k] for k in range(1, 5)), n - 4, n)
+    return _order4_recurrence(((), (1,), (1,), ()), n - 1, n)
 
 
 def cycle_tdp(n: int) -> IntPoly:
-    """D_t of the cycle C_n; same recurrence as paths from the C_3..C_6 seeds."""
+    """D_t of the cycle C_n; the paths' recurrence run from C_0..C_3 =
+    4, x, x^2, x^3 + 3x^2, the power sums of the quartic's four roots (see
+    ``closedform``), which gives C_4 = x^4 + 4x^3 + 4x^2 onwards."""
     if n < 3:
         raise ValueError("cycle order must be at least 3")
-    if n <= 6:
-        return _CYCLE_BASE[n]
-    return _order4_recurrence(tuple(_CYCLE_BASE[k] for k in range(3, 7)), n - 6, n)
+    return _order4_recurrence(((4,), (0, 1), (0, 0, 1), (0, 0, 3, 1)), n - 3, n)
 
 
 def _fold_forest(g: Graph, add: Callable, mul: Callable, leaf: tuple):

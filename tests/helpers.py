@@ -5,24 +5,24 @@ API and itertools, never against the package's bitmask kernels, so agreement
 between the two is meaningful evidence rather than a tautology. The tree
 helpers at the end do call the brute-force oracle: what they check is the
 package's bookkeeping around it (labeled trees against unlabeled ones), so
-one oracle call per labeled tree is the reference route. The three-term
-vertex reduction is built from oracle calls too: the package uses only the
-full identity, and the tests check the shorter form against it.
+one oracle call per labeled tree, from the exhaustive Pruefer generator kept
+here, is the reference route. The three-term vertex reduction is built from
+oracle calls too: the package uses only the full identity, and the tests
+check the shorter form against it.
 `non_supporting_pair_set` is the one wrapper here around package code: only
 the tests ask for the pair set of a whole graph.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from tdpoly.closedform import star_tdp
 from tdpoly.extremal import _non_supporting_pairs
 from tdpoly.graph import (
     Graph,
-    _prufer_decode,
-    all_labeled_trees,
+    _prufer_edges,
     classify_vertices,
     is_star_shaped,
     to_edge_list,
@@ -109,7 +109,22 @@ def random_tree(n, seed):
         return Graph([0])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    return _prufer_decode(seq, n)
+    return Graph(range(n), _prufer_edges(seq, n))
+
+
+def all_labeled_trees(n):
+    """Yield every labeled tree on 0..n-1, one per Pruefer sequence.
+
+    Exactly n^(n-2) trees for n >= 2, in Pruefer order; a single one-vertex
+    graph for n = 1.
+    """
+    if n < 1:
+        raise ValueError("tree order must be at least 1")
+    if n == 1:
+        yield Graph([0])
+        return
+    for seq in product(range(n), repeat=n - 2):
+        yield Graph(range(n), _prufer_edges(seq, n))
 
 
 def naive_counts(g):

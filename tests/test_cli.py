@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from tdpoly import cli, extremal, reduction
+from tdpoly import cli, closedform, extremal, reduction
 from tdpoly.errors import InternalConsistencyError
 from tdpoly.graph import Graph, cycle_graph, path_graph
 from tdpoly.polynomial import IntPoly
@@ -162,6 +162,34 @@ def test_family_text_format(capsys):
 
 
 # -- eval -----------------------------------------------------------------------
+
+
+# each named family's smallest order parameter (two-corona: of its base path)
+FAMILY_SMALLEST = {"path": 1, "cycle": 3, "star": 2, "two-corona": 1}
+
+
+def family_requests(family, n):
+    """One poly, one eval and (where the subcommand takes the family) one
+    family request at order parameter n."""
+    yield ["poly", "--family", family, "--n", str(n)]
+    yield ["eval", "--family", family, "--n", str(n), "--at", "2"]
+    if family != "two-corona":
+        yield ["family", "--family", family, "--n-min", str(n), "--n-max", str(n + 1)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SMALLEST))
+def test_family_orders_start_at_the_smallest(capsys, family):
+    # poly, eval and family refuse an order below the family's smallest
+    # alike, with one line; poly --family path --n 0 must not answer on the
+    # empty graph
+    smallest = FAMILY_SMALLEST[family]
+    for argv in family_requests(family, smallest):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and out and err == "", argv
+    for argv in family_requests(family, smallest - 1):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: family {family} starts at n = {smallest}\n", argv
 
 
 def test_eval_cycle_at_points(capsys):
@@ -328,7 +356,9 @@ def test_scan_minimal_tree(capsys):
 
 
 # sha256 of the stdout of `scan --suite S --n N --format F`, frozen from the
-# labeled route that decoded and brute-forced all n^(n-2) labeled trees.
+# labeled route that decoded and brute-forced all n^(n-2) labeled trees; the
+# n = 9 entries from the census route, before its example walk moved from
+# built graphs onto Pruefer edge lists.
 TREE_SCAN_DIGESTS = {
     ("tree-bound", 2, "json"): "c89c5d4803d362324c8323ce1fade947f48f46c1673703fa2751850de7698dec",
     ("tree-bound", 2, "csv"): "7c580620fb1c449fb7e1ebcb32a65f9e182f14ebe2bcdc74b7659e344ffe26ac",
@@ -358,6 +388,8 @@ TREE_SCAN_DIGESTS = {
     ("minimal-tree", 7, "csv"): "a740b8d91b591b152c14944bb32c3b225d763fb6be879a03394dd959386d9f7c",
     ("minimal-tree", 8, "json"): "aa8f7d4e4ad5b4187b81ea709a4716236e3e024cecc2a10132c8474ad5c14138",
     ("minimal-tree", 8, "csv"): "bb5ffee194f4b7c17fea3e7afda4ea0dfd771c0c3b28ac86fef5755e20153ecc",
+    ("tree-bound", 9, "json"): "0b3e180f654674dc13569937c777615ee07aa70f1f3213f081889014b8ef8b07",
+    ("minimal-tree", 9, "json"): "bc74568e40671032e0dc800ef05a1b4f5abd218df59c4e57b93de6e43c8e3794",
 }
 
 
@@ -609,6 +641,20 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     report = json.loads(out)
     assert report["passed"] is False
     assert [f["param"] for f in report["failures"]] == ["path n=1", "path n=2", "path n=3", "path n=4"]
+
+
+def test_minus_one_forest_rows_can_fail(capsys, monkeypatch):
+    # the fold's value reaches the row unchecked, so a wrong one is a failure
+    # row (exit 1), not an internal error (exit 4)
+    honest = closedform._fold_forest
+    monkeypatch.setattr(closedform, "_fold_forest", lambda *args: honest(*args) + 2)
+    code, out, err = run_cli(capsys, ["verify", "--suite", "minus-one", "--n-max", "3", "--trials", "5"])
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["passed"] is False and report["instances"] == 3 + 19 + 5
+    params = [f["param"] for f in report["failures"]]
+    assert [p.split(" n=")[0] for p in params] == [f"forest trial={k}" for k in range(5)]
+    assert all(f["rhs"] in ("2", "3") for f in report["failures"])  # exact ints travel as strings
 
 
 def test_scan_failure_exits_1(capsys, monkeypatch):

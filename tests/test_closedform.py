@@ -8,7 +8,6 @@ from tdpoly.closedform import (
     forest_at_minus_one,
     path_at_minus_one,
     path_closed_eval,
-    star_at_minus_one,
     star_tdp,
     verify_closed_forms,
     verify_minus_one,
@@ -127,14 +126,6 @@ def test_star_tdp_binomial_coefficients():
     assert star_tdp(5) == IntPoly((0, 0, 4, 6, 4, 1))
     with pytest.raises(ValueError):
         star_tdp(1)
-
-
-def test_star_at_minus_one_always_one():
-    assert star_at_minus_one(4) == 1
-    assert star_at_minus_one(2) == 1
-    assert star_at_minus_one(10) == 1
-    for n in range(2, 21):
-        assert star_at_minus_one(n) == 1
 
 
 def test_forest_at_minus_one_examples():

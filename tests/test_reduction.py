@@ -6,7 +6,6 @@ import pytest
 
 from tdpoly.graph import (
     Graph,
-    all_labeled_trees,
     cycle_graph,
     disjoint_union,
     fixed_small_corpus,
@@ -30,7 +29,13 @@ from tdpoly.reduction import (
     verify_vertex_reduction,
 )
 
-from helpers import naive_tdp, random_tree, simple_vertex_reduction_applies, simple_vertex_reduction_rhs
+from helpers import (
+    all_labeled_trees,
+    naive_tdp,
+    random_tree,
+    simple_vertex_reduction_applies,
+    simple_vertex_reduction_rhs,
+)
 
 
 # -- indicator ---------------------------------------------------------------

@@ -8,9 +8,10 @@ emitted when --timing is passed, precisely so byte-identity holds without it.
 verify and scan share one runner. Each suite is one row of _SUITES, keyed by
 subcommand and suite name: its runner(order, trials, seed), default order,
 default trials, smallest order and fewest trials; the --suite choices come
-from that table. An order or a --trials below those is a usage error. A
-verify suite passes when it records no failure, a scan when every summary
-flag its report names in `checks` holds.
+from that table. An order or a --trials below those is a usage error, and
+so is --trials or --seed on a suite that draws nothing at random (its
+default trials is 0). A verify suite passes when it records no failure, a
+scan when every summary flag its report names in `checks` holds.
 
 Exit codes: 0 success, 1 a verify/scan suite found failures, 2 usage or
 parse error (an evaluation beyond the float range included), 3 enumeration
@@ -184,14 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=tuple(_SUITES["verify"]), required=True)
     p_verify.add_argument("--n-max", dest="n", metavar="N_MAX", type=int)
     p_verify.add_argument("--trials", type=int)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int)
     p_verify.set_defaults(run=_cmd_suite, order_flag="--n-max", format="json")
 
     p_scan = sub.add_parser("scan", help="run an extremal scan")
     p_scan.add_argument("--suite", choices=tuple(_SUITES["scan"]), required=True)
     p_scan.add_argument("--n", type=int, required=True)
     p_scan.add_argument("--trials", type=int)
-    p_scan.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_scan.add_argument("--seed", type=int)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.set_defaults(run=_cmd_suite, order_flag="--n")
     return parser
@@ -372,11 +373,15 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     n = suite.n if args.n is None else args.n
     trials = suite.trials if args.trials is None else args.trials
     name = f"{args.subcommand} --suite {args.suite}"
+    if suite.trials == 0:
+        for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{name} draws nothing at random, so it takes no {flag}")
     if n < suite.smallest:
         raise ValueError(f"{name} starts at n = {suite.smallest}; got {args.order_flag} {n}")
     if trials < suite.fewest_trials:
         raise ValueError(f"{name} needs --trials >= {suite.fewest_trials}; got --trials {trials}")
-    report = suite.run(n, trials, args.seed)
+    report = suite.run(n, trials, DEFAULT_SEED if args.seed is None else args.seed)
     if args.format == "csv":
         print(report.to_csv(), end="")  # to_csv already terminates the last row
     else:

@@ -161,21 +161,16 @@ def verify_closed_forms(n_max: int = 30) -> VerificationReport:
     report = VerificationReport(
         "closedform", {"n_max": n_max, "points": list(CLOSED_FORM_POINTS), "rel_tol": CLOSED_FORM_REL_TOL}
     )
+    # family -> (recurrence, closed form, smallest order)
+    families = {"path": (path_tdp, path_closed_eval, 1), "cycle": (cycle_tdp, cycle_closed_eval, 3)}
     for n in range(1, n_max + 1):
-        exact_p = path_tdp(n)
-        exact_c = cycle_tdp(n) if n >= 3 else None
+        exact_polys = [(name, tdp(n), closed) for name, (tdp, closed, lower) in families.items() if n >= lower]
         for x in CLOSED_FORM_POINTS:
-            if complex(x) in (0j, complex(-4)):
-                continue
-            exact = exact_p.evaluate(x)
-            approx = path_closed_eval(n, x)
-            ok = abs(approx - exact) <= CLOSED_FORM_REL_TOL * (1 + abs(exact))
-            report.record_check("", f"path n={n} x={x}", ok, exact, approx)
-            if exact_c is not None:
-                exact = exact_c.evaluate(x)
-                approx = cycle_closed_eval(n, x)
+            for name, poly, closed in exact_polys:
+                exact = poly.evaluate(x)
+                approx = closed(n, x)
                 ok = abs(approx - exact) <= CLOSED_FORM_REL_TOL * (1 + abs(exact))
-                report.record_check("", f"cycle n={n} x={x}", ok, exact, approx)
+                report.record_check("", f"{name} n={n} x={x}", ok, exact, approx)
     return report
 
 

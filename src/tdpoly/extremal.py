@@ -344,17 +344,13 @@ def scan_degree2(trials: int, n_max: int, seed: int) -> ScanReport:
     report = ScanReport(
         "degree2", {"trials": trials, "n_max": n_max, "seed": seed}, columns=columns
     )
-    all_bounds = True
-    all_identities = True
     for g in random_connected_corpus(trials, n_max, seed, n_min=2):
-        row = degree2_row(g)
-        all_bounds &= row["bound_holds"]
-        all_identities &= row["identity_holds"]
-        report.add_row(**row)
+        report.add_row(**degree2_row(g))
+    rows = report.rows
     report.summary = {
-        "instances": len(report.rows),
-        "all_bounds_hold": all_bounds,
-        "all_identities_hold": all_identities,
+        "instances": len(rows),
+        "all_bounds_hold": all(row["bound_holds"] for row in rows),
+        "all_identities_hold": all(row["identity_holds"] for row in rows),
     }
     report.checks = ("all_bounds_hold", "all_identities_hold")
     return report
@@ -432,17 +428,13 @@ def gamma_scan_corpus(trials: int, n_max: int, seed: int) -> list[Graph]:
 def scan_gamma_bounds(graphs: Iterable[Graph], params: dict | None = None) -> ScanReport:
     columns = ("graph", "n", "gamma_t", "lower_ok", "upper_ok", "equality", "equality_shape", "consistent")
     report = ScanReport("gamma-bounds", dict(params or {}), columns=columns)
-    all_ok = True
-    equality_count = 0
     for g in graphs:
-        row = gamma_bounds_row(g)
-        all_ok &= row["lower_ok"] and row["upper_ok"] and row["consistent"]
-        equality_count += row["equality"]
-        report.add_row(**row)
+        report.add_row(**gamma_bounds_row(g))
+    rows = report.rows
     report.summary = {
-        "instances": len(report.rows),
-        "all_ok": all_ok,
-        "equality_instances": equality_count,
+        "instances": len(rows),
+        "all_ok": all(row["lower_ok"] and row["upper_ok"] and row["consistent"] for row in rows),
+        "equality_instances": sum(row["equality"] for row in rows),
     }
     report.checks = ("all_ok",)
     return report

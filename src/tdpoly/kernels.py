@@ -8,22 +8,21 @@ total domination polynomial. Conditions never reach this module: the oracle
 compiles them into fewer masks and a different target. Counts fit int64
 comfortably inside the 26-bit enumeration budget.
 
-Calls with at most 14 masks build the cover of every subset (the OR of its
-members' masks) by doubling, cover[2^j:2^(j+1)] = cover[:2^j] | m_j, and
-count the covers equal to the target by size. Up to 7 masks the table is a
-list of Python ints and each hit's size is ``int.bit_count`` of its index:
-numpy's fixed cost per call (about 5 us) is more than such a table costs.
-Most calls are that small: in one scan-verify benchmark cycle (seed 1),
-which checks the reduction identities on many small derived graphs, 6 021
-of the 7 703 kernel calls have at most 7 masks. From 8 masks on the table
-is an int64 array.
+Calls with at most 15 masks test every subset at once in Python ints, with
+no numpy call until the counts are returned. Subset s of the n masks is bit
+s of a 2^n-bit int; ``member[j]`` is set at the subsets holding m_j and
+``by_size[i]`` at those of i masks. The subsets whose cover (the OR of their
+members' masks) has target bit b are the OR of ``member[j]`` over the m_j
+that have b, and the count of size i is the popcount of ``by_size[i]`` AND
+those ORs over the target bits. Most calls are this small.
 
 Wider calls are split meet-in-the-middle, in the style of Horowitz-Sahni
 (JACM 1974): a subset is a low half (its first n//2 masks) joined to a high
 half. Whether a high sub-mask completes a low one depends only on its cover,
 and wide high halves have far fewer distinct covers than sub-masks (38-653
 of 512-2048 on random connected graphs with n = 18-22). So the high half's
-covers are built by the same doubling and grouped with ``np.unique``, a
+covers are built by doubling in an int64 array,
+cover[2^j:2^(j+1)] = cover[:2^j] | m_j, and grouped with ``np.unique``, a
 weight table counts the high sub-masks of each size behind each cover, and
 each distinct cover is paired once.
 
@@ -51,16 +50,10 @@ import numpy as np
 # one target bit per must-meet set.
 MAX_KERNEL_BITS = 62
 
-# Calls with at most this many masks build the cover table in Python ints:
-# per call, 0 masks cost 0.4 us against numpy's 5.4, 4 masks 3.2 against
-# 10.9, 7 masks 14.0 against 15.6 and 8 masks 26.5 against 19.1 (2 cores,
-# Python 3.11.7, numpy 2.4.6).
-_INT_MAX = 7
-
-# Calls with at most this many masks test every subset in one cover table
-# (at most 16384 entries). The split costs about 0.1 ms per call before any
-# pairing, so below 15 masks the whole table is faster.
-_WHOLE_MAX = 14
+# Calls with at most this many masks test every subset at once. The split
+# costs about 0.1 ms per call before any pairing; at 16 masks it beats the
+# whole table on dense graphs, at 15 on none tried.
+_WHOLE_MAX = 15
 
 # Bitset words per block of high covers (128 KiB), so that a call's
 # temporaries stay under a megabyte up to the oracle's n = 26 cap.
@@ -100,17 +93,16 @@ def _layout(k: int):
     return starts, member
 
 
-def _int_size_counts(masks: Sequence[int], target: int) -> list[int]:
-    """The whole cover table in Python ints, for a few masks."""
-    cover = [0]
-    for m in masks:
-        m = int(m) & target
-        cover += [c | m for c in cover]
-    counts = [0] * (len(masks) + 1)
-    for s, c in enumerate(cover):
-        if c == target:
-            counts[s.bit_count()] += 1
-    return counts
+@lru_cache(maxsize=None)
+def _slices(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``member`` and ``by_size`` (see above) for k masks, built by doubling."""
+    member: list[int] = []
+    by_size = [1]
+    for j in range(k):
+        w = 1 << j
+        member = [m | m << w for m in member] + [((1 << w) - 1) << w]
+        by_size = [lo | hi << w for lo, hi in zip(by_size + [0], [0] + by_size)]
+    return tuple(member), tuple(by_size)
 
 
 def size_counts(neighbor_masks: Sequence[int], target: int) -> np.ndarray:
@@ -123,12 +115,19 @@ def size_counts(neighbor_masks: Sequence[int], target: int) -> np.ndarray:
     n = len(neighbor_masks)
     if n > MAX_KERNEL_BITS or target >> MAX_KERNEL_BITS:
         raise ValueError(f"kernel supports at most {MAX_KERNEL_BITS} masks and target bits")
-    if n <= _INT_MAX:
-        return np.array(_int_size_counts(neighbor_masks, target), dtype=np.int64)
-    nbr = np.asarray(neighbor_masks, dtype=np.int64)
     if n <= _WHOLE_MAX:
-        hit = np.flatnonzero(_covers(nbr & target) == target)
-        return np.bincount(np.bitwise_count(hit), minlength=n + 1).astype(np.int64)
+        member, by_size = _slices(n)
+        hits = -1  # every subset; by_size bounds it
+        while target and hits:
+            bit = target & -target
+            target ^= bit
+            covered = 0
+            for m, s in zip(neighbor_masks, member):
+                if m & bit:
+                    covered |= s
+            hits &= covered
+        return np.array([(hits & s).bit_count() for s in by_size], dtype=np.int64)
+    nbr = np.asarray(neighbor_masks, dtype=np.int64)
     # renumber the target bits 0..t-1, so four consecutive bits make a nibble
     kept = np.flatnonzero([target >> b & 1 for b in range(target.bit_length())])
     t = kept.size

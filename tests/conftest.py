@@ -1,5 +1,6 @@
 import pytest
 
+from tdpoly import kernels
 from tdpoly.graph import path_graph
 from tdpoly.oracle import brute_force_tdp
 
@@ -8,14 +9,14 @@ from tdpoly.oracle import brute_force_tdp
 def warm_kernels():
     """Warm the subset kernel once so timed sections measure steady state.
 
-    This pays numpy's first-call costs. P_4 takes the kernel's whole-table
-    path; P_16 is wide enough for the split path, so it pays np.unique's
-    first call and builds the cached bitset layout of an 8-mask low half
-    here, not in the first kernel test. ``gamma_t`` is the same enumeration,
-    so it needs no warm-up of its own.
+    P_4 takes the kernel's whole-table path and builds its cached bitsets.
+    P_{_WHOLE_MAX + 2} is wide enough for the split path, so it pays numpy's
+    first-call costs, np.unique's included, and builds the cached bitset
+    layout of its low half here, not in the first kernel test. ``gamma_t``
+    is the same enumeration, so it needs no warm-up of its own.
     """
     brute_force_tdp(path_graph(4))
-    brute_force_tdp(path_graph(16))
+    brute_force_tdp(path_graph(kernels._WHOLE_MAX + 2))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

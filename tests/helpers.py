@@ -127,6 +127,13 @@ def all_labeled_trees(n):
         yield Graph(range(n), _prufer_edges(seq, n))
 
 
+def all_labeled_graphs(n):
+    """Yield every simple graph on 0..n-1, one per subset of the C(n, 2) pairs."""
+    pairs = list(combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        yield Graph(range(n), [pair for i, pair in enumerate(pairs) if chosen >> i & 1])
+
+
 def naive_counts(g):
     """Count totally dominating sets of each size by plain enumeration."""
     verts = list(g.vertices)

@@ -519,9 +519,14 @@ n 20
 # builds and polynomial sums, frozen before the kernel's pure-int path, the
 # oracle's early zero and the unchecked graph derivations, (the last three)
 # before the trusted graph and polynomial constructors, and (the first three)
-# before graphs kept only their adjacency, so none of these changes a byte.
+# before graphs kept only their adjacency, so none of these changes a byte;
+# the closedform entries before its path and cycle checks became one loop.
 # "{graph20}" names a file holding GRAPH_20.
 SMALL_CALL_DIGESTS = {
+    "verify --suite closedform":
+        "e40899421e08e0850ad1a652855cf94afa543ef65da5892c868a70fcdd862bb4",
+    "verify --suite closedform --n-max 60":
+        "62160d2925914c4c757d48675d3369e5637b6f32610cbaf4998abbeefd3a5468",
     "verify --suite theorem1 --n-max 8 --trials 20 --seed 5":
         "97dc6b2d4d80e8f08c36c38f507d2993dcadc06e4003f96de2afd7e60d2029bb",
     "verify --suite theorem3 --n-max 8 --trials 20 --seed 5":
@@ -615,13 +620,30 @@ SUITE_REQUESTS = [
 ]
 
 
+# the suites that draw nothing at random
+UNSEEDED_SUITES = ("claim1", "recurrence", "closedform", "tree-bound", "minimal-tree")
+
+
 @pytest.mark.parametrize("argv", SUITE_REQUESTS, ids=" ".join)
 def test_negative_trials_exit_2(capsys, argv):
     # some suites ignored --trials, one echoed it as "forest_trials":"-1"
     code, out, err = run_cli(capsys, argv + ["--trials", "-1"])
     assert code == 2 and out == ""
-    fewest = 1 if argv[2] == "degree2" else 0
-    assert err == f"error: {' '.join(argv[:3])} needs --trials >= {fewest}; got --trials -1\n"
+    name = " ".join(argv[:3])
+    if argv[2] in UNSEEDED_SUITES:
+        assert err == f"error: {name} draws nothing at random, so it takes no --trials\n"
+    else:
+        fewest = 1 if argv[2] == "degree2" else 0
+        assert err == f"error: {name} needs --trials >= {fewest}; got --trials -1\n"
+
+
+@pytest.mark.parametrize("argv", [a for a in SUITE_REQUESTS if a[2] in UNSEEDED_SUITES], ids=" ".join)
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_unseeded_suites_refuse_trials_and_seed(capsys, argv, flag):
+    # these suites ran and exited 0 with the option silently ignored
+    code, out, err = run_cli(capsys, argv + [flag, "3"])
+    assert code == 2 and out == ""
+    assert err == f"error: {' '.join(argv[:3])} draws nothing at random, so it takes no {flag}\n"
 
 
 def test_degree2_without_trials_exits_2(capsys):

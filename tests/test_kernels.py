@@ -107,8 +107,8 @@ def covers_per_block(n):
 @pytest.mark.parametrize(
     "n, block",
     [
-        (kernels._INT_MAX, None),
-        (kernels._INT_MAX + 1, None),
+        (7, None),
+        (8, None),
         (kernels._WHOLE_MAX, None),
         (kernels._WHOLE_MAX + 1, None),
         (kernels._WHOLE_MAX + 1, 16),
@@ -116,10 +116,11 @@ def covers_per_block(n):
     ids=["int-table", "array-table", "whole-table", "split", "split-2-covers-per-block"],
 )
 def test_kernel_matches_naive_masks(monkeypatch, n, block):
-    # the widest int-table, whole-table calls and the narrowest array-table
-    # and split ones, against plain enumeration: masks over n vertex bits
-    # plus 1-5 virtual bits, targets with holes, so the target's bit count is
-    # rarely a multiple of 4. A 16-word block pairs 2 high covers at a time.
+    # whole-table calls of 7 and 8 masks (the ids name the tables that once
+    # took them), the widest whole-table call and the narrowest split one,
+    # against plain enumeration: masks over n vertex bits plus 1-5 virtual
+    # bits, targets with holes, so the target's bit count is rarely a
+    # multiple of 4. A 16-word block pairs 2 high covers at a time.
     if block is not None:
         monkeypatch.setattr(kernels, "_BLOCK", block)
     rng = random.Random(n * 100 + (block or 0))
@@ -139,11 +140,11 @@ def test_kernel_matches_naive_masks(monkeypatch, n, block):
             assert distinct_high_covers([m & target for m in masks]) > covers_per_block(n)
 
 
-@pytest.mark.parametrize("n", list(range(10)) + [kernels._WHOLE_MAX, kernels._WHOLE_MAX + 1])
+@pytest.mark.parametrize("n", list(range(10)) + [kernels._WHOLE_MAX - 1, kernels._WHOLE_MAX, kernels._WHOLE_MAX + 1])
 def test_kernel_matches_naive_at_every_regime(n):
-    # 0-9 masks cross the int/array cutoff at 7/8, 14/15 the whole/split
-    # one; masks as a list and as an int64 array, with bits outside the
-    # target, repeated masks, the empty target and a target bit in no mask
+    # 0-9 masks and the widest whole tables, then the narrowest split; masks
+    # as a list and as an int64 array, with bits outside the target, repeated
+    # masks, the empty target and a target bit in no mask
     rng = random.Random(n)
     width = n + 2
     for trial in range(4 if n < 10 else 1):

@@ -5,19 +5,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpoly import kernels
+from tdpoly.closedform import forest_at_minus_one
 from tdpoly.errors import BudgetError
 from tdpoly.graph import (
     Graph,
     cycle_graph,
     disjoint_union,
+    is_cycle_shaped,
+    is_path_shaped,
     path_graph,
     random_connected_graph,
     star_graph,
 )
 from tdpoly.oracle import MAX_ENUM_ORDER, brute_force_tdp, gamma_t, tdp_by_components
 from tdpoly.polynomial import IntPoly
+from tdpoly.reduction import cycle_tdp, path_tdp, tree_tdp
 
-from helpers import holds_for, is_total_dominating, naive_gamma, naive_tdp, naive_tdp_filtered
+from helpers import (
+    all_labeled_graphs,
+    holds_for,
+    is_total_dominating,
+    naive_gamma,
+    naive_tdp,
+    naive_tdp_filtered,
+)
 
 # Exact polynomials for the smallest paths and cycles; every engine in the
 # package must reproduce these.
@@ -225,6 +236,37 @@ def test_matches_independent_enumeration():
     for _ in range(25):
         g = random_connected_graph(rng.randint(1, 8), rng.uniform(0.0, 0.8), rng.randrange(2**32))
         assert brute_force_tdp(g) == naive_tdp(g)
+
+
+# labeled graphs on n = 1..5 vertices that are forests (OEIS A001858), paths
+# (n!/2 for n >= 2) and cycles ((n-1)!/2 for n >= 3)
+LABELED_SHAPES = {1: (1, 1, 0), 2: (2, 1, 0), 3: (7, 3, 1), 4: (38, 12, 3), 5: (291, 60, 12)}
+
+
+@pytest.mark.parametrize("n", sorted(LABELED_SHAPES))
+def test_every_graph_up_to_five_vertices(n):
+    # every labeled graph of order n (1 099 for n = 1..5): the oracle plain
+    # and under one condition at each vertex, the forest fold and the path
+    # and cycle recurrences, against plain enumeration. n = 0 is left out:
+    # the oracle maps the empty graph to 0 by design.
+    shapes = [0, 0, 0]
+    for g in all_labeled_graphs(n):
+        expected = naive_tdp(g)
+        assert brute_force_tdp(g) == expected, g
+        for v in g.vertices:
+            for cond in ({"required": [v]}, {"forbidden": [v]}, {"meets": [g.neighbors(v)]}):
+                assert brute_force_tdp(g, **cond) == naive_tdp_filtered(g, lambda w: holds_for(w, **cond)), (g, cond)
+        if g.is_forest():
+            shapes[0] += 1
+            assert tree_tdp(g) == expected, g
+            assert forest_at_minus_one(g) == expected.evaluate(-1), g
+        if is_path_shaped(g):
+            shapes[1] += 1
+            assert path_tdp(n) == expected, g
+        if is_cycle_shaped(g):
+            shapes[2] += 1
+            assert cycle_tdp(n) == expected, g
+    assert tuple(shapes) == LABELED_SHAPES[n]
 
 
 @settings(deadline=None, max_examples=60)

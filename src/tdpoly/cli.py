@@ -7,11 +7,15 @@ emitted when --timing is passed, precisely so byte-identity holds without it.
 
 verify and scan share one runner. Each suite is one row of _SUITES, keyed by
 subcommand and suite name: its runner(order, trials, seed), default order,
-default trials, smallest order and fewest trials; the --suite choices come
-from that table. An order or a --trials below those is a usage error, and
-so is --trials or --seed on a suite that draws nothing at random (its
-default trials is 0). A verify suite passes when it records no failure, a
-scan when every summary flag its report names in `checks` holds.
+default trials, smallest order, largest order and fewest trials; the
+--suite choices come from that table. An order or a --trials below those is
+a usage error, and so is --trials or --seed on a suite that draws nothing
+at random (its default trials is 0). An order above the largest is refused
+before any work: with exit 3 where the oracle would pass its budget (claim1,
+recurrence), with exit 2 where closedform's values would pass the float
+range. (The tree scans' census refuses n > 9 itself, also before any work.)
+A verify suite passes when it records no failure, a scan when every summary
+flag its report names in `checks` holds.
 
 Exit codes: 0 success, 1 a verify/scan suite found failures, 2 usage or
 parse error (an evaluation beyond the float range included), 3 enumeration
@@ -29,7 +33,7 @@ import time
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .closedform import verify_closed_forms, verify_minus_one
+from .closedform import CLOSED_FORM_N_MAX, verify_closed_forms, verify_minus_one
 from .errors import BudgetError, GraphParseError, InternalConsistencyError
 from .extremal import (
     gamma_scan_corpus,
@@ -73,7 +77,11 @@ class _Suite(NamedTuple):
     n: int | None  # default order; None where the order flag is required
     trials: int  # default trials
     smallest: int  # a smaller order would check nothing and pass vacuously
-    fewest_trials: int = 0  # likewise for fewer trials
+    largest: int | None = None  # a larger one is refused before any work
+    fewest_trials: int = 0  # fewer --trials would check nothing too
+    # what a larger order raises: an enumeration budget (exit 3), or a
+    # ValueError (exit 2) where the values would pass the float range
+    past_largest: type[Exception] = BudgetError
 
 
 def _params(n: int, trials: int, seed: int) -> dict:
@@ -82,22 +90,26 @@ def _params(n: int, trials: int, seed: int) -> dict:
 
 # subcommand -> suite -> how to run it. The runners look their suite
 # functions up at call time, so a rebinding of those names (as a tracer does)
-# reaches them.
+# reaches them. claim1 and recurrence run the oracle at every order up to
+# theirs; prop1, theorem1 and theorem3 draw their orders at random, so
+# whether they pass the oracle's cap depends on the draw, and they have none.
 _SUITES: dict[str, dict[str, _Suite]] = {
     "verify": {
         "theorem1": _Suite(lambda n, t, s: verify_vertex_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2),
         "theorem3": _Suite(lambda n, t, s: verify_edge_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2),
-        "claim1": _Suite(lambda n, t, s: verify_conditioned_path_recurrence(n_max=n), 14, 0, 5),
+        "claim1": _Suite(lambda n, t, s: verify_conditioned_path_recurrence(n_max=n), 14, 0, 5, MAX_ENUM_ORDER),
         "prop1": _Suite(lambda n, t, s: verify_basic_identities(_prop1_corpus(t, n, s), _params(n, t, s)), 10, 50, 2),
-        "recurrence": _Suite(lambda n, t, s: verify_recurrences(n_max=n), 18, 0, 1),
-        "closedform": _Suite(lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1),
+        "recurrence": _Suite(lambda n, t, s: verify_recurrences(n_max=n), 18, 0, 1, MAX_ENUM_ORDER),
+        "closedform": _Suite(
+            lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1, CLOSED_FORM_N_MAX, past_largest=ValueError
+        ),
         "minus-one": _Suite(lambda n, t, s: verify_minus_one(path_n_max=n, forest_trials=t, seed=s), 60, 500, 1),
     },
     "scan": {
         "tree-bound": _Suite(lambda n, t, s: scan_tree_bound(n), None, 0, 2),
         "minimal-tree": _Suite(lambda n, t, s: minimal_tree_scan(n), None, 0, 2),
         # every degree2 instance is drawn at random, so 0 trials check nothing
-        "degree2": _Suite(lambda n, t, s: scan_degree2(t, n, s), None, 200, 2, 1),
+        "degree2": _Suite(lambda n, t, s: scan_degree2(t, n, s), None, 200, 2, fewest_trials=1),
         "gamma-bounds": _Suite(lambda n, t, s: scan_gamma_bounds(gamma_scan_corpus(t, n, s), _params(n, t, s)), None, 30, 3),
     },
 }
@@ -207,21 +219,26 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     if args.infile is not None:
         if args.n is not None or args.base is not None:
             raise ValueError("--n/--base only apply to --family")
-        with open(args.infile, encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
+        return _read_edge_list(args.infile)
     if args.family is None:
         raise ValueError("give a graph via --in FILE or --family NAME")
     if args.family == "two-corona":
         if (args.base is None) == (args.n is None):
             raise ValueError("two-corona takes exactly one of --base FILE or --n N")
         if args.base is not None:
-            with open(args.base, encoding="utf-8") as fh:
-                return two_corona(parse_edge_list(fh.read()))
+            return two_corona(_read_edge_list(args.base))
     elif args.base is not None:
         raise ValueError("--base only applies to --family two-corona")
     elif args.n is None:
         raise ValueError(f"--family {args.family} requires --n")
     return _family_member(args.family, args.n)
+
+
+def _read_edge_list(path: str) -> Graph:
+    # one bytes read and one decode cost less than a text-mode read; the
+    # parser's line split treats "\r\n" and "\r" as a text-mode read would
+    with open(path, "rb") as fh:
+        return parse_edge_list(fh.read().decode("utf-8"))
 
 
 def _family_member(family: str, n: int) -> Graph:
@@ -379,6 +396,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 raise ValueError(f"{name} draws nothing at random, so it takes no {flag}")
     if n < suite.smallest:
         raise ValueError(f"{name} starts at n = {suite.smallest}; got {args.order_flag} {n}")
+    if suite.largest is not None and n > suite.largest:
+        raise suite.past_largest(f"{name} is capped at n <= {suite.largest}, got n = {n}")
     if trials < suite.fewest_trials:
         raise ValueError(f"{name} needs --trials >= {suite.fewest_trials}; got --trials {trials}")
     report = suite.run(n, trials, DEFAULT_SEED if args.seed is None else args.seed)

@@ -145,6 +145,9 @@ def forest_at_minus_one(g: Graph) -> int:
 # the closed-form suite's grid of points and its relative error bound
 CLOSED_FORM_POINTS = (1.0, 2.0, -2.0, 0.5, -1.0, -0.5)
 CLOSED_FORM_REL_TOL = 1e-6
+# the largest order whose values at every point above fit a float: at
+# x = 2.0, D_t(P_707) and D_t(C_707) pass the float range
+CLOSED_FORM_N_MAX = 706
 # the minus-one suite's largest star and largest random forest
 MINUS_ONE_STAR_N_MAX = 20
 MINUS_ONE_FOREST_ORDER_MAX = 16

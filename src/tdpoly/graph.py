@@ -26,16 +26,16 @@ class Graph:
     __slots__ = ("_adj", "_vertices", "_edges")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
-        adj: dict[int, set[int]] = {int(v): set() for v in vertices}
+        adj: dict[int, list[int]] = {int(v): [] for v in vertices}
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = dict(zip(adj, map(frozenset, adj.values())))
         self._vertices = self._edges = None
 
     # -- basic queries ----------------------------------------------------
@@ -184,7 +184,11 @@ class Graph:
         return self.order <= 1 or self._component_count() == 1
 
     def is_forest(self) -> bool:
-        return self.size == self.order - self._component_count()
+        # a forest has n minus its component count edges, so m >= n >= 1 rules one out
+        n, m = self.order, self.size
+        if m >= n >= 1:
+            return False
+        return m == n - self._component_count()
 
 
 @dataclass(frozen=True)
@@ -217,13 +221,11 @@ def parse_edge_list(text: str) -> Graph:
     again. Self-loops and duplicate edges are rejected.
     """
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: dict[tuple[int, int], None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
                 raise GraphParseError(f"line {lineno}: expected header 'n <count>', got {raw!r}")
@@ -244,11 +246,10 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"line {lineno}: vertex index out of range [0, {n}) in {raw!r}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        key = (u, v) if u < v else (v, u)
+        if key in edges:
             raise GraphParseError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append(key)
+        edges[key] = None
     if n is None:
         raise GraphParseError("missing 'n <count>' header line")
     return Graph(range(n), edges)

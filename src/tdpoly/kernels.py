@@ -18,25 +18,30 @@ those ORs over the target bits. Most calls are this small.
 
 Wider calls are split meet-in-the-middle, in the style of Horowitz-Sahni
 (JACM 1974): a subset is a low half (its first n//2 masks) joined to a high
-half. Whether a high sub-mask completes a low one depends only on its cover,
-and wide high halves have far fewer distinct covers than sub-masks (38-653
-of 512-2048 on random connected graphs with n = 18-22). So the high half's
-covers are built by doubling in an int64 array,
-cover[2^j:2^(j+1)] = cover[:2^j] | m_j, and grouped with ``np.unique``, a
-weight table counts the high sub-masks of each size behind each cover, and
-each distinct cover is paired once.
+half. The masks are ANDed with the target once and keep their bit
+positions; a position outside the target is then in no mask and never
+missing, so the split does not renumber the target bits. Whether a high
+sub-mask completes a low one depends only on its cover, and wide high
+halves have far fewer distinct covers than sub-masks (38-653 of 512-2048 on
+random connected graphs with n = 18-22). So the high half's covers are
+built by doubling in an int64 array, cover[2^j:2^(j+1)] = cover[:2^j] | m_j,
+and grouped by one sort: equal covers form a run, and a run starts where
+the cover changes. A weight table counts the high sub-masks of each size
+behind each cover, and each distinct cover is paired once.
 
 The pairing is bit-sliced set intersection. The low half is one bitset per
-target bit, over the low sub-masks grouped by size with each size starting
-on a 64-bit word; the bitset of bit b is the OR of the fixed membership
-bitsets of the low masks that have b. A high cover is completed by the low
-sub-masks that cover every target bit it misses, the AND of those bits'
-bitsets. The ANDs are looked up four target bits at a time, in one 16-entry
-table per four bits (the Four-Russians method of Arlazarov, Dinic, Kronrod
-and Faradzev, 1970), so a cover costs (target bits)/4 ANDs per 64 low
-sub-masks. Popcounts summed per size give each cover's hits by low size,
-and one small int64 product per block of covers folds them into a
-(high size, low size) table. No float or BLAS product is involved.
+bit position, over the low sub-masks grouped by size with each size
+starting on a 64-bit word; the bitset of bit b is the OR of the fixed
+membership bitsets of the low masks that have b. A high cover is completed
+by the low sub-masks that cover every target bit it misses (target XOR
+cover), the AND of those bits' bitsets. The ANDs are looked up four bit
+positions at a time, in one 16-entry table per four positions (the
+Four-Russians method of Arlazarov, Dinic, Kronrod and Faradzev, 1970), so a
+cover costs (target.bit_length())/4 ANDs per 64 low sub-masks. Popcounts
+summed per size give each cover's hits by low size, and one small int64
+product per block of covers folds them into a (high size, low size) table;
+a cached 0/1 anti-diagonal matrix folds that onto subset sizes. No float or
+BLAS product is involved.
 """
 
 from __future__ import annotations
@@ -64,8 +69,27 @@ def _covers(masks: np.ndarray) -> np.ndarray:
     """Cover of each sub-mask of ``masks``: entry s is the OR of m_j over the bits j of s."""
     cover = np.zeros(1 << masks.size, dtype=np.int64)
     for j, m in enumerate(masks.tolist()):
-        cover[1 << j : 2 << j] = cover[: 1 << j] | m
+        np.bitwise_or(cover[: 1 << j], m, out=cover[1 << j : 2 << j])
     return cover
+
+
+@lru_cache(maxsize=None)
+def _sizes(k: int) -> np.ndarray:
+    """Size of each of the 2^k sub-masks of k bits (read-only, shared)."""
+    sizes = np.bitwise_count(np.arange(1 << k))
+    sizes.flags.writeable = False
+    return sizes
+
+
+@lru_cache(maxsize=None)
+def _fold(high: int, low: int) -> np.ndarray:
+    """0/1 matrix that folds a flattened (high size, low size) table onto
+    sizes: row i*low + j has its one at column i + j (read-only, shared)."""
+    rows = np.arange(high * low)
+    fold = np.zeros((high * low, high + low - 1), dtype=np.int64)
+    fold[rows, rows // low + rows % low] = 1
+    fold.flags.writeable = False
+    return fold
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +100,7 @@ def _layout(k: int):
     at the sub-masks containing j, plus one set at every sub-mask (row k).
     The arrays are shared by every call, so they are read-only.
     """
-    sizes = np.bitwise_count(np.arange(1 << k))
+    sizes = _sizes(k)
     per_size = np.bincount(sizes, minlength=k + 1)
     words = -(-per_size // 64)
     starts = np.cumsum(words) - words
@@ -127,13 +151,11 @@ def size_counts(neighbor_masks: Sequence[int], target: int) -> np.ndarray:
                     covered |= s
             hits &= covered
         return np.array([(hits & s).bit_count() for s in by_size], dtype=np.int64)
-    nbr = np.asarray(neighbor_masks, dtype=np.int64)
-    # renumber the target bits 0..t-1, so four consecutive bits make a nibble
-    kept = np.flatnonzero([target >> b & 1 for b in range(target.bit_length())])
-    t = kept.size
-    masks = (((nbr[:, None] >> kept) & 1) << np.arange(t)).sum(axis=1)
+    # bits outside the target leave the masks; a chunk is four consecutive
+    # bit positions, and a position outside the target is never missing
+    masks = np.asarray(neighbor_masks, dtype=np.int64) & target
     split = n // 2
-    chunks = max(1, -(-t // 4))
+    chunks = max(1, -(-target.bit_length() // 4))
     # lo[b] marks the low sub-masks whose cover has bit b
     starts, member = _layout(split)
     words = member.shape[1]
@@ -147,13 +169,19 @@ def size_counts(neighbor_masks: Sequence[int], target: int) -> np.ndarray:
         np.bitwise_and(lookup[:, : 1 << j], lo[:, j, None], out=lookup[:, 1 << j : 2 << j])
     lookup = lookup.reshape(chunks * 16, words)
     # pair each distinct high cover once; weight[k, i] counts the high
-    # sub-masks of size i whose cover is keys[k]
+    # sub-masks of size i whose cover is keys[k]. Sorting the covers puts
+    # equal ones in a run, and a run starts where the cover changes.
     cover_hi = _covers(masks[split:])
-    keys, key_of = np.unique(cover_hi, return_inverse=True)
+    order = cover_hi.argsort()
+    cover_hi = cover_hi[order]
+    first = np.empty(cover_hi.size, dtype=bool)
+    first[0] = True
+    np.not_equal(cover_hi[1:], cover_hi[:-1], out=first[1:])
+    keys = cover_hi[first]
     width = n - split + 1  # high sizes 0..n-split
-    size_hi = np.bitwise_count(np.arange(cover_hi.size))
-    weight = np.bincount(key_of * width + size_hi, minlength=keys.size * width).reshape(-1, width)
-    missing = ((1 << t) - 1) ^ keys
+    key_of = np.cumsum(first) - 1
+    weight = np.bincount(key_of * width + _sizes(n - split)[order], minlength=keys.size * width).reshape(-1, width)
+    missing = target ^ keys
     chunk = np.arange(chunks)[:, None]
     table = np.zeros((width, split + 1), dtype=np.int64)
     step = max(1, _BLOCK // words)
@@ -166,6 +194,4 @@ def size_counts(neighbor_masks: Sequence[int], target: int) -> np.ndarray:
             hit &= lookup[r]
         per_size = np.add.reduceat(np.bitwise_count(hit), starts, axis=1, dtype=np.int64)
         table += weight[b].T @ per_size
-    counts = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(counts, np.arange(width)[:, None] + np.arange(split + 1), table)
-    return counts
+    return table.ravel() @ _fold(width, split + 1)

@@ -410,6 +410,37 @@ def test_tree_scans_refuse_orders_outside_the_cap(capsys, suite):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("a suite past its cap must not start")
+
+
+@pytest.mark.parametrize(
+    ("suite", "runner"), [("recurrence", "verify_recurrences"), ("claim1", "verify_conditioned_path_recurrence")]
+)
+def test_oracle_suites_refuse_orders_past_the_cap(capsys, monkeypatch, suite, runner):
+    # both run the oracle at every order up to theirs, so n = 27 would pass
+    # its cap part-way through; the refusal comes before the suite starts
+    code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--n-max", "26"])
+    assert code == 0 and err == "" and json.loads(out)["passed"] is True
+    monkeypatch.setattr(cli, runner, refuse_to_run)
+    code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--n-max", "27"])
+    assert code == 3 and out == ""
+    assert err == f"error: verify --suite {suite} is capped at n <= 26, got n = 27\n"
+
+
+def test_closedform_refuses_orders_past_the_float_range(capsys, monkeypatch):
+    # running the suite to n = 706 takes about 18 s, so the runner is
+    # replaced; the closed forms' own boundary is tested in test_closedform
+    seen = []
+    monkeypatch.setattr(cli, "verify_closed_forms", lambda n_max: seen.append(n_max) or closedform.verify_closed_forms(1))
+    code, out, err = run_cli(capsys, ["verify", "--suite", "closedform", "--n-max", "706"])
+    assert code == 0 and err == "" and seen == [706]
+    for n in ("707", "5000"):
+        code, out, err = run_cli(capsys, ["verify", "--suite", "closedform", "--n-max", n])
+        assert code == 2 and out == "" and seen == [706]
+        assert err == f"error: verify --suite closedform is capped at n <= 706, got n = {n}\n"
+
+
 @pytest.mark.parametrize("suite", ["tree-bound", "minimal-tree"])
 def test_wrong_automorphism_count_exits_4(capsys, monkeypatch, suite):
     """Dropping the swap of a symmetric bicentre breaks Cayley's count."""

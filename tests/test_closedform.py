@@ -3,6 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpoly.closedform import (
+    CLOSED_FORM_N_MAX,
+    CLOSED_FORM_POINTS,
     SINGULAR_POINTS,
     cycle_closed_eval,
     forest_at_minus_one,
@@ -98,6 +100,17 @@ def test_beyond_float_range_raises_value_error():
     for bad in (float("inf"), float("nan"), complex(1, float("inf"))):
         with pytest.raises(ValueError):
             path_closed_eval(5, bad)
+
+
+def test_closed_form_cap_is_the_last_order_within_float_range():
+    # every grid point fits a float at the cap; one order past it, x = 2.0
+    # does not (D_t(C_706, 2) is about 1.45e308, D_t(P_706, 2) 9.0e307)
+    assert CLOSED_FORM_N_MAX == 706
+    for closed in (path_closed_eval, cycle_closed_eval):
+        for x in CLOSED_FORM_POINTS:
+            closed(706, x)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            closed(707, 2.0)
 
 
 def test_path_at_minus_one_residue_table():

@@ -140,11 +140,13 @@ def test_kernel_matches_naive_masks(monkeypatch, n, block):
             assert distinct_high_covers([m & target for m in masks]) > covers_per_block(n)
 
 
-@pytest.mark.parametrize("n", list(range(10)) + [kernels._WHOLE_MAX - 1, kernels._WHOLE_MAX, kernels._WHOLE_MAX + 1])
+@pytest.mark.parametrize(
+    "n", list(range(10)) + [kernels._WHOLE_MAX + d for d in (-1, 0, 1, 2)]
+)
 def test_kernel_matches_naive_at_every_regime(n):
-    # 0-9 masks and the widest whole tables, then the narrowest split; masks
-    # as a list and as an int64 array, with bits outside the target, repeated
-    # masks, the empty target and a target bit in no mask
+    # 0-9 masks and the widest whole tables, then the two narrowest splits;
+    # masks as a list and as an int64 array, with bits outside the target,
+    # repeated masks, the empty target and a target bit in no mask
     rng = random.Random(n)
     width = n + 2
     for trial in range(4 if n < 10 else 1):
@@ -152,11 +154,21 @@ def test_kernel_matches_naive_at_every_regime(n):
         if n >= 2:
             masks[-1] = masks[0]
         hole = full(width) & ~(1 << rng.randrange(width))
-        for target in (0, full(width), hole, rng.getrandbits(width), full(width + 1)):
-            expected = naive_size_counts(masks, target)
-            for given in (masks, np.array(masks, dtype=np.int64)):
+        # (masks, target, whether some subset must cover it)
+        cases = [(masks, t, False) for t in (0, full(width), hole, rng.getrandbits(width), full(width + 1))]
+        if n > kernels._WHOLE_MAX:
+            # the split reads target bits where they stand: a target whose
+            # holes empty the whole nibble of bits 4-7, and one that reaches
+            # the kernel's top bit, set in every third mask
+            top = kernels.MAX_KERNEL_BITS - 1
+            far = [m | (i % 3 == 0) << top for i, m in enumerate(masks)]
+            cases += [(masks, full(width) & ~(15 << 4), True), (far, full(width) | 1 << top, True)]
+        for ms, target, covered in cases:
+            expected = naive_size_counts(ms, target)
+            assert sum(expected) > 0 or not covered, (ms, target)
+            for given in (ms, np.array(ms, dtype=np.int64)):
                 got = size_counts(given, target)
-                assert got.dtype == np.int64 and got.tolist() == expected, (masks, target)
+                assert got.dtype == np.int64 and got.tolist() == expected, (ms, target)
 
 
 def test_kernel_spans_several_blocks():

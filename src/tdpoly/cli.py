@@ -12,8 +12,9 @@ default trials, smallest order, largest order and fewest trials; the
 a usage error, and so is --trials or --seed on a suite that draws nothing
 at random (its default trials is 0). An order above the largest is refused
 before any work: with exit 3 where the oracle would pass its budget (claim1,
-recurrence), with exit 2 where closedform's values would pass the float
-range. (The tree scans' census refuses n > 9 itself, also before any work.)
+recurrence) or minus-one would run for more than a few seconds, with exit 2
+where closedform's values would pass the float range. (The tree scans'
+census refuses n > 9 itself, also before any work.)
 A verify suite passes when it records no failure, a scan when every summary
 flag its report names in `checks` holds.
 
@@ -59,6 +60,7 @@ from .graph import (
 from .oracle import MAX_ENUM_ORDER, brute_force_tdp
 from .polynomial import IntPoly
 from .reduction import (
+    _recurrence_terms,
     cycle_tdp,
     path_tdp,
     tree_tdp,
@@ -103,7 +105,7 @@ _SUITES: dict[str, dict[str, _Suite]] = {
         "closedform": _Suite(
             lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1, CLOSED_FORM_N_MAX, past_largest=ValueError
         ),
-        "minus-one": _Suite(lambda n, t, s: verify_minus_one(path_n_max=n, forest_trials=t, seed=s), 60, 500, 1),
+        "minus-one": _Suite(lambda n, t, s: verify_minus_one(path_n_max=n, forest_trials=t, seed=s), 60, 500, 1, 10**6),
     },
     "scan": {
         "tree-bound": _Suite(lambda n, t, s: scan_tree_bound(n), None, 0, 2),
@@ -251,25 +253,38 @@ def _family_member(family: str, n: int) -> Graph:
     return two_corona(maker(n)) if family == "two-corona" else maker(n)
 
 
-def compute_poly(g: Graph, method: str) -> tuple[IntPoly, str]:
-    """Resolve the method selector and return (polynomial, method actually used)."""
+def _dispatch(g: Graph, method: str) -> tuple[str, str]:
+    """Resolve the method selector to (method reported, engine): a key of
+    _ENGINES, where path and cycle are the recurrence."""
     if method == "auto":
         if g.is_forest():
-            return tree_tdp(g), "tree"
+            return "tree", "tree"
         if is_cycle_shaped(g):
-            return cycle_tdp(g.order), "recurrence"
-        return brute_force_tdp(g), "brute"
-    if method == "brute":
-        return brute_force_tdp(g), "brute"
-    if method == "tree":
-        return tree_tdp(g), "tree"
+            return "recurrence", "cycle"
+        return "brute", "brute"
+    if method in ("brute", "tree"):
+        return method, method
     if method == "recurrence":
         if is_path_shaped(g):
-            return path_tdp(g.order), "recurrence"
+            return method, "path"
         if is_cycle_shaped(g):
-            return cycle_tdp(g.order), "recurrence"
+            return method, "cycle"
         raise ValueError("recurrence method applies only to path- or cycle-shaped graphs")
     raise ValueError(f"unknown method {method!r}")
+
+
+_ENGINES: dict[str, Callable[[Graph], IntPoly]] = {  # names looked up at call time
+    "tree": lambda g: tree_tdp(g),
+    "brute": lambda g: brute_force_tdp(g),
+    "path": lambda g: path_tdp(g.order),
+    "cycle": lambda g: cycle_tdp(g.order),
+}
+
+
+def compute_poly(g: Graph, method: str) -> tuple[IntPoly, str]:
+    """Resolve the method selector and return (polynomial, method actually used)."""
+    label, engine = _dispatch(g, method)
+    return _ENGINES[engine](g), label
 
 
 # -- envelopes ------------------------------------------------------------------
@@ -351,10 +366,18 @@ def _cmd_family(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if args.n_min > args.n_max:
         raise ValueError("--n-min must not exceed --n-max")
-    items = []
+    # members come in consecutive orders, and those the recurrence answers
+    # are all paths or all cycles, so they take the terms of one walk
+    items, walk = [], None
     for n in range(args.n_min, args.n_max + 1):
         g = _family_member(args.family, n)
-        poly, used = compute_poly(g, args.method)
+        used, engine = _dispatch(g, args.method)
+        if engine in ("path", "cycle"):
+            if walk is None:
+                walk = _recurrence_terms(engine, g.order)
+            poly = next(walk)
+        else:
+            poly = _ENGINES[engine](g)
         items.append(make_envelope(g, poly, used))
     out = {"family": args.family, "n_min": args.n_min, "n_max": args.n_max, "items": items}
     if args.timing:

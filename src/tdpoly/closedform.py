@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 import operator
 import random
+from itertools import islice
 
 from .errors import InternalConsistencyError
 from .graph import Graph, random_forest
 from .polynomial import IntPoly, _binary_point, _round_parts
-from .reduction import _fold_forest, cycle_tdp, path_tdp
+from .reduction import _fold_forest, _order4_walk, _recurrence_terms
 from .reports import VerificationReport
 
 SINGULAR_POINTS = (0.0, -4.0)
@@ -164,10 +165,11 @@ def verify_closed_forms(n_max: int = 30) -> VerificationReport:
     report = VerificationReport(
         "closedform", {"n_max": n_max, "points": list(CLOSED_FORM_POINTS), "rel_tol": CLOSED_FORM_REL_TOL}
     )
-    # family -> (recurrence, closed form, smallest order)
-    families = {"path": (path_tdp, path_closed_eval, 1), "cycle": (cycle_tdp, cycle_closed_eval, 3)}
+    # family -> (closed form, smallest order); one recurrence walk per family
+    families = {"path": (path_closed_eval, 1), "cycle": (cycle_closed_eval, 3)}
+    walks = {name: _recurrence_terms(name, lower) for name, (_, lower) in families.items()}
     for n in range(1, n_max + 1):
-        exact_polys = [(name, tdp(n), closed) for name, (tdp, closed, lower) in families.items() if n >= lower]
+        exact_polys = [(name, next(walks[name]), closed) for name, (closed, lower) in families.items() if n >= lower]
         for x in CLOSED_FORM_POINTS:
             for name, poly, closed in exact_polys:
                 exact = poly.evaluate(x)
@@ -189,8 +191,11 @@ def verify_minus_one(path_n_max: int = 60, forest_trials: int = 500, seed: int =
             "seed": seed,
         },
     )
-    for n in range(1, path_n_max + 1):
-        exact, rule = path_tdp(n).evaluate(-1), path_at_minus_one(n)
+    # the path walk on ints at x = -1 (P_-2..P_1 there are 0, 1, 1, 0), as
+    # ``forest_at_minus_one`` runs the fold: O(1) integer operations per order
+    exact_values = islice(_order4_walk((0, 1, 1, 0), operator.add, operator.neg), 3, None)
+    for n, exact in zip(range(1, path_n_max + 1), exact_values):
+        rule = path_at_minus_one(n)
         report.record_check("", f"path n={n}", exact == rule, exact, rule)
     for n in range(2, MINUS_ONE_STAR_N_MAX + 1):
         value = star_tdp(n).evaluate(-1)

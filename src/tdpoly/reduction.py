@@ -4,20 +4,22 @@ The vertex and edge reduction right-hand sides are deliberately assembled
 from brute-force oracle calls on the smaller derived graphs: their whole
 point is to be compared against the oracle value on the original graph, so
 each side must be computed by an independent route. The path/cycle
-recurrences and the forest dynamic programme are the fast paths that fall
-out of those identities: the recurrences run on plain coefficient lists, and
-the forest engine is one bottom-up pass per component over four per-vertex
-states (out of W and dominated by a child, out of W in any case, in W and
-dominated, in W in any case). The pass takes its ring as a parameter (add,
-mul and the leaf's states): `tree_tdp` runs it on coefficient lists, and
-`closedform.forest_at_minus_one` runs it on ints at x = -1, since
-evaluation at a point is a ring homomorphism.
+recurrence and the forest dynamic programme are the fast paths that fall
+out of those identities. Each takes its ring as a parameter, since
+evaluation at a point is a ring homomorphism. The recurrence is one walk
+from four seeds over add and multiply-by-x, so a table up to order N costs
+one walk, O(N^2) coefficient additions. The forest engine is one bottom-up
+pass per component over four per-vertex states (out of W and dominated by
+a child, out of W in any case, in W and dominated, in W in any case) over
+add, mul and the leaf's states. Both run on coefficient lists (`path_tdp`,
+`cycle_tdp`, `tree_tdp`) and on ints at x = -1 (the minus-one suite).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, cycle_graph, path_graph, to_edge_list
 from .oracle import brute_force_tdp, tdp_by_components
@@ -105,37 +107,49 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
     return rhs
 
 
-def _order4_recurrence(seeds: tuple[tuple[int, ...], ...], steps: int, order: int) -> IntPoly:
-    """Run D(k) = x*D(k-1) + x^2*D(k-3) + x^2*D(k-4) `steps` times past the
-    four seeds D(k-4..k-1), given as coefficient tuples, on plain coefficient
-    lists; returns the last term."""
-    w0, w1, w2, w3 = (list(s) for s in seeds)
-    for _ in range(steps):
-        # nxt[i+1] += w3[i], nxt[i+2] += w1[i] + w0[i]
-        nxt = _add_coeffs([0, *w3], [0, 0, *_add_coeffs(w1, w0)])
-        w0, w1, w2, w3 = w1, w2, w3, nxt
-    return ensure_valid_tdp(IntPoly._of(w3), order)
+def _order4_walk(seeds: tuple, add: Callable, times_x: Callable) -> Iterator:
+    """The four seeds D(0..3), then D(k) = x*D(k-1) + x^2*D(k-3) + x^2*D(k-4)
+    for k = 4, 5, ..., in any commutative ring given by `add` and `times_x`
+    (multiplication by x). Each term is x*(D(k-1) + x*(D(k-3) + D(k-4))):
+    two additions and two products by x."""
+    w0, w1, w2, w3 = seeds
+    yield from seeds
+    while True:
+        w0, w1, w2, w3 = w1, w2, w3, times_x(add(w3, times_x(add(w1, w0))))
+        yield w3
+
+
+# family -> its walk's four seeds as coefficient lists, and the order of the
+# first: the recurrence continued below P_1 gives P_-2..P_1 = 0, 1, 1, 0, and
+# C_0..C_3 = 4, x, x^2, x^3 + 3x^2 are the power sums of the quartic's four
+# roots (see ``closedform``).
+_SEEDS = {
+    "path": (((), (1,), (1,), ()), -2),
+    "cycle": (((4,), (0, 1), (0, 0, 1), (0, 0, 3, 1)), 0),
+}
+
+
+def _recurrence_terms(family: str, n: int) -> Iterator[IntPoly]:
+    """D_t of the family's members of order n, n + 1, ...: one walk on
+    coefficient lists, each term checked as it is returned."""
+    seeds, first = _SEEDS[family]
+    walk = _order4_walk(seeds, _add_coeffs, lambda a: [0, *a])
+    for order, coeffs in enumerate(islice(walk, n - first, None), n):
+        yield ensure_valid_tdp(IntPoly._of(list(coeffs)), order)
 
 
 def path_tdp(n: int) -> IntPoly:
-    """D_t of the path P_n via the order-4 linear recurrence.
-
-    D_t(P_n) = x*D_t(P_{n-1}) + x^2*D_t(P_{n-3}) + x^2*D_t(P_{n-4}), run
-    from P_-2..P_1 = 0, 1, 1, 0: the recurrence continued below P_1, which
-    gives P_2 = x^2, P_3 = x^3 + 2x^2 and P_4 = x^4 + 2x^3 + x^2.
-    """
+    """D_t of the path P_n: the n-th term of the paths' walk."""
     if n < 1:
         raise ValueError("path order must be at least 1")
-    return _order4_recurrence(((), (1,), (1,), ()), n - 1, n)
+    return next(_recurrence_terms("path", n))
 
 
 def cycle_tdp(n: int) -> IntPoly:
-    """D_t of the cycle C_n; the paths' recurrence run from C_0..C_3 =
-    4, x, x^2, x^3 + 3x^2, the power sums of the quartic's four roots (see
-    ``closedform``), which gives C_4 = x^4 + 4x^3 + 4x^2 onwards."""
+    """D_t of the cycle C_n: the n-th term of the cycles' walk."""
     if n < 3:
         raise ValueError("cycle order must be at least 3")
-    return _order4_recurrence(((4,), (0, 1), (0, 0, 1), (0, 0, 3, 1)), n - 3, n)
+    return next(_recurrence_terms("cycle", n))
 
 
 def _fold_forest(g: Graph, add: Callable, mul: Callable, leaf: tuple):
@@ -270,10 +284,8 @@ def verify_conditioned_path_recurrence(n_min: int = 5, n_max: int = 14) -> Verif
 def verify_recurrences(n_max: int = 18) -> VerificationReport:
     """Path and cycle recurrence outputs against the brute-force oracle."""
     report = VerificationReport("recurrence", {"n_max": n_max})
-    for n in range(1, n_max + 1):
-        g = path_graph(n)
-        report.record(to_edge_list(g), f"path n={n}", brute_force_tdp(g), path_tdp(n))
-    for n in range(3, n_max + 1):
-        g = cycle_graph(n)
-        report.record(to_edge_list(g), f"cycle n={n}", brute_force_tdp(g), cycle_tdp(n))
+    for family, make, lower in (("path", path_graph, 1), ("cycle", cycle_graph, 3)):
+        for n, poly in zip(range(lower, n_max + 1), _recurrence_terms(family, lower)):
+            g = make(n)
+            report.record(to_edge_list(g), f"{family} n={n}", brute_force_tdp(g), poly)
     return report

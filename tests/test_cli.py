@@ -429,7 +429,7 @@ def test_oracle_suites_refuse_orders_past_the_cap(capsys, monkeypatch, suite, ru
 
 
 def test_closedform_refuses_orders_past_the_float_range(capsys, monkeypatch):
-    # running the suite to n = 706 takes about 18 s, so the runner is
+    # running the suite to n = 706 takes about 1 s, so the runner is
     # replaced; the closed forms' own boundary is tested in test_closedform
     seen = []
     monkeypatch.setattr(cli, "verify_closed_forms", lambda n_max: seen.append(n_max) or closedform.verify_closed_forms(1))
@@ -551,7 +551,9 @@ n 20
 # oracle's early zero and the unchecked graph derivations, (the last three)
 # before the trusted graph and polynomial constructors, and (the first three)
 # before graphs kept only their adjacency, so none of these changes a byte;
-# the closedform entries before its path and cycle checks became one loop.
+# the closedform entries before its path and cycle checks became one loop;
+# the family, recurrence and "--n-max 300" minus-one entries before family
+# and the suites took their path and cycle terms from one recurrence walk.
 # "{graph20}" names a file holding GRAPH_20.
 SMALL_CALL_DIGESTS = {
     "verify --suite closedform":
@@ -580,6 +582,18 @@ SMALL_CALL_DIGESTS = {
         "ddb2dec692458104d2b382f9b5140c3c9b9378f53d862c5825ee2817192c9a16",
     "eval --family path --n 40 --at -1 2 0.5":
         "5b13196b8d294f10b28ba779c90cb794c95d8f992f3dccab819cdee9eeda4ef3",
+    "family --family cycle --n-min 3 --n-max 125":
+        "c21ba08f966763df1c4d8c16b9116fa7595997058b58103ed01109a89dddb5f9",
+    "family --family cycle --n-min 40 --n-max 60 --format text":
+        "88d0291db587318dddc58607f83f1137c880c512872afec54ebf7306909e0f5a",
+    "family --family path --n-min 1 --n-max 40 --method recurrence":
+        "821addd9c3e84c4e233cca98885497627d6825ed32e5c18f271f72b8f097e380",
+    "family --family star --n-min 2 --n-max 3 --method recurrence":
+        "13cbb5bb02e5e443a64c4569ee7fbc02dd113f55d0d626203a782c0edf8959f0",
+    "verify --suite recurrence --n-max 20":
+        "1382cebb67afbfb222fd29cb35dae83aa95534e289a6b248fe82b165d20672dc",
+    "verify --suite minus-one --n-max 300 --trials 0":
+        "d726bf1a13a00932943340d7926417e6fd1220dc290c390758839c3e72a74731",
 }
 
 
@@ -590,6 +604,72 @@ def test_small_call_suites_bytes_frozen(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, argv.format(graph20=graph20).split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SMALL_CALL_DIGESTS[argv]
+
+
+def test_family_errors_stop_at_the_same_member(capsys, monkeypatch):
+    # a member the recurrence does not answer fails where it did before the
+    # walk: C_3 under the tree engine, S_4 under the recurrence (S_2 and S_3
+    # are paths, answered by the walk)
+    dispatched = []
+    honest = cli._dispatch
+    monkeypatch.setattr(cli, "_dispatch", lambda g, method: dispatched.append(g.order) or honest(g, method))
+    code, out, err = run_cli(capsys, ["family", "--family", "cycle", "--n-min", "3", "--n-max", "5", "--method", "tree"])
+    assert (code, out, err) == (2, "", "error: input graph contains a cycle\n")
+    assert dispatched == [3]
+    dispatched.clear()
+    code, out, err = run_cli(capsys, ["family", "--family", "star", "--n-min", "2", "--n-max", "5", "--method", "recurrence"])
+    assert (code, out) == (2, "")
+    assert err == "error: recurrence method applies only to path- or cycle-shaped graphs\n"
+    assert dispatched == [2, 3, 4]
+
+
+def count_walk_additions(monkeypatch):
+    """Patch the recurrence walk so that every ring addition it makes is
+    counted; returns the list the counts go to."""
+    adds = []
+    honest = reduction._order4_walk
+
+    def counted(seeds, add, times_x):
+        return honest(seeds, lambda a, b: adds.append(1) or add(a, b), times_x)
+
+    monkeypatch.setattr(reduction, "_order4_walk", counted)
+    return adds
+
+
+@pytest.mark.parametrize(
+    ("argv", "orders"),
+    [
+        ("family --family cycle --n-min 3 --n-max 60", 58),
+        ("verify --suite closedform --n-max 60", 60 + 58),
+        ("verify --suite recurrence --n-max 20", 20 + 18),
+    ],
+)
+def test_tables_walk_the_recurrence_once(capsys, monkeypatch, argv, orders):
+    # one walk per family: at most two ring additions per order tabulated,
+    # where a restart per order makes 3 306 for the family request
+    adds = count_walk_additions(monkeypatch)
+    code, _, err = run_cli(capsys, argv.split())
+    assert code == 0 and err == ""
+    assert 0 < len(adds) <= 2 * orders
+
+
+def test_family_checks_every_term_it_prints(capsys, monkeypatch):
+    checked = []
+    honest = reduction.ensure_valid_tdp
+    monkeypatch.setattr(reduction, "ensure_valid_tdp", lambda p, order: checked.append(order) or honest(p, order))
+    code, _, _ = run_cli(capsys, ["family", "--family", "cycle", "--n-min", "40", "--n-max", "60"])
+    assert code == 0 and checked == list(range(40, 61))
+
+
+def test_minus_one_refuses_orders_past_the_cap(capsys, monkeypatch):
+    # its path rows walk ints at -1, so the cap's run takes about a second
+    code, out, err = run_cli(capsys, ["verify", "--suite", "minus-one", "--n-max", "1000000", "--trials", "0"])
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["passed"] and report["instances"] == 10**6 + 19
+    monkeypatch.setattr(cli, "verify_minus_one", refuse_to_run)
+    code, out, err = run_cli(capsys, ["verify", "--suite", "minus-one", "--n-max", "1000001"])
+    assert code == 3 and out == ""
+    assert err == "error: verify --suite minus-one is capped at n <= 1000000, got n = 1000001\n"
 
 
 def test_prop1_unions_stay_within_the_oracle_cap(capsys):
@@ -687,8 +767,16 @@ def test_degree2_without_trials_exits_2(capsys):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    honest = reduction.path_tdp
-    monkeypatch.setattr(reduction, "path_tdp", lambda n: honest(n) + IntPoly.monomial(n + 1))
+    # the suite walks the recurrence once per family; a wrong path term fails its row
+    honest = reduction._recurrence_terms
+
+    def wrong_paths(family, n):
+        terms = honest(family, n)
+        if family != "path":
+            return terms
+        return (poly + IntPoly.monomial(k + 1) for k, poly in enumerate(terms, n))
+
+    monkeypatch.setattr(reduction, "_recurrence_terms", wrong_paths)
     code, out, err = run_cli(capsys, ["verify", "--suite", "recurrence", "--n-max", "4"])
     assert code == 1 and err == ""
     report = json.loads(out)

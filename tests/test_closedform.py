@@ -1,3 +1,6 @@
+import operator
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from tdpoly.closedform import (
 )
 from tdpoly.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
 from tdpoly.polynomial import IntPoly
-from tdpoly.reduction import cycle_tdp, path_tdp
+from tdpoly.reduction import _SEEDS, _order4_walk, _recurrence_terms, cycle_tdp, path_tdp
 
 
 #: Points for the bit-for-bit comparison: real and complex, near both
@@ -131,6 +134,28 @@ def test_path_at_minus_one_huge_orders():
     assert path_at_minus_one(10**12) == 0
     assert path_at_minus_one(10**12 + 1) == 1
     assert path_at_minus_one(10**15 + 2) == 1
+
+
+def walk_at_minus_one(family):
+    """The family's recurrence walk on ints at x = -1, from its first order
+    (P_1, C_3) on; the seeds are the coefficient seeds evaluated at -1."""
+    seeds, _ = _SEEDS[family]
+    at_minus_one = tuple(IntPoly(s).evaluate(-1) for s in seeds)
+    return islice(_order4_walk(at_minus_one, operator.add, operator.neg), 3, None)
+
+
+def test_int_walk_at_minus_one_matches_the_polynomials():
+    # evaluation at -1 is a ring homomorphism: walking the ints gives the
+    # polynomials' values, and the path values follow the residue rule. The
+    # n-th term of a polynomial walk is path_tdp(n) or cycle_tdp(n); one walk
+    # per family keeps the check O(n^2) in all.
+    paths = zip(range(1, 301), walk_at_minus_one("path"), _recurrence_terms("path", 1))
+    for n, value, poly in paths:
+        assert value == poly.evaluate(-1) == path_at_minus_one(n), n
+    cycles = zip(range(3, 301), walk_at_minus_one("cycle"), _recurrence_terms("cycle", 3))
+    for n, value, poly in cycles:
+        assert value == poly.evaluate(-1), n
+    assert poly == cycle_tdp(300)
 
 
 def test_star_tdp_binomial_coefficients():

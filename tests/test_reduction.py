@@ -1,9 +1,12 @@
 import math
 import operator
 import random
+from itertools import islice
 
 import pytest
 
+from tdpoly import reduction
+from tdpoly.errors import InternalConsistencyError
 from tdpoly.graph import (
     Graph,
     cycle_graph,
@@ -17,6 +20,8 @@ from tdpoly.oracle import brute_force_tdp, gamma_t, tdp_by_components
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import (
     _fold_forest,
+    _order4_walk,
+    _recurrence_terms,
     cycle_tdp,
     edge_reduction_rhs,
     indicator_tdp,
@@ -180,6 +185,60 @@ def test_recurrences_match_oracle():
         assert path_tdp(n) == brute_force_tdp(path_graph(n)), n
     for n in range(3, 15):
         assert cycle_tdp(n) == brute_force_tdp(cycle_graph(n)), n
+
+
+def cycle_binomial_form(n):
+    """D_t(C_n) = sum over i of (n/i)*C(i, n-i)*x^i, plus 2(-1)^(n/2)*x^(n/2)
+    for even n: an independent route to the cycle polynomial, n >= 3."""
+    coeffs = [n * math.comb(i, n - i) // i if i else 0 for i in range(n + 1)]
+    if n % 2 == 0:
+        coeffs[n // 2] += 2 * (-1) ** (n // 2)
+    return IntPoly(coeffs)
+
+
+def test_walk_started_late_matches_cycle_tdp():
+    # a walk started at order 40 gives C_40..C_60 in order, the same terms
+    # cycle_tdp walks to from the seeds, and both match the binomial form
+    terms = list(islice(_recurrence_terms("cycle", 40), 21))
+    assert terms == [cycle_tdp(n) for n in range(40, 61)]
+    assert terms == [cycle_binomial_form(n) for n in range(40, 61)]
+    assert list(islice(_recurrence_terms("path", 1), 14)) == [brute_force_tdp(path_graph(n)) for n in range(1, 15)]
+
+
+def test_walk_makes_two_ring_additions_per_term():
+    adds = []
+
+    def add(a, b):
+        adds.append(1)
+        return a + b
+
+    walk = _order4_walk((0, 1, 1, 0), add, operator.neg)
+    assert list(islice(walk, 4)) == [0, 1, 1, 0] and adds == []  # the seeds cost nothing
+    next(islice(walk, 99, None))
+    assert len(adds) == 2 * 100
+
+
+def test_every_returned_term_is_checked_once(monkeypatch):
+    # ensure_valid_tdp runs on each term returned, and on no step between
+    checked = []
+    honest = reduction.ensure_valid_tdp
+    monkeypatch.setattr(reduction, "ensure_valid_tdp", lambda p, order: checked.append(order) or honest(p, order))
+    cycle_tdp(300)
+    path_tdp(200)
+    assert checked == [300, 200]
+    checked.clear()
+    list(islice(_recurrence_terms("cycle", 40), 21))
+    assert checked == list(range(40, 61))
+
+
+def test_invalid_walk_terms_are_refused(monkeypatch):
+    # C_0 = -4 instead of 4 makes C_4 = x^4 + 4x^3 - 4x^2
+    seeds, first = reduction._SEEDS["cycle"]
+    monkeypatch.setitem(reduction._SEEDS, "cycle", (((-4,), *seeds[1:]), first))
+    with pytest.raises(InternalConsistencyError, match="negative coefficient"):
+        cycle_tdp(4)
+    with pytest.raises(InternalConsistencyError, match="negative coefficient"):
+        list(islice(_recurrence_terms("cycle", 3), 2))
 
 
 def test_cycle_min_degree_tracks_gamma():

@@ -27,7 +27,6 @@ from .extremal import (
     scan_degree2,
     scan_gamma_bounds,
     scan_tree_bound,
-    supporting_identity,
     verify_basic_identities,
 )
 from .graph import (
@@ -48,7 +47,7 @@ from .graph import (
     to_edge_list,
     two_corona,
 )
-from .oracle import brute_force_tdp, gamma_t, tdp_by_components
+from .oracle import brute_force_tdp, gamma_t
 from .polynomial import IntPoly, ensure_valid_tdp
 from .reduction import (
     cycle_tdp,
@@ -107,8 +106,6 @@ __all__ = [
     "scan_tree_bound",
     "star_graph",
     "star_tdp",
-    "supporting_identity",
-    "tdp_by_components",
     "to_edge_list",
     "tree_tdp",
     "two_corona",

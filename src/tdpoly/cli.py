@@ -7,14 +7,15 @@ emitted when --timing is passed, precisely so byte-identity holds without it.
 
 verify and scan share one runner. Each suite is one row of _SUITES, keyed by
 subcommand and suite name: its runner(order, trials, seed), default order,
-default trials, smallest order, largest order and fewest trials; the
---suite choices come from that table. An order or a --trials below those is
-a usage error, and so is --trials or --seed on a suite that draws nothing
-at random (its default trials is 0). An order above the largest is refused
-before any work: with exit 3 where the oracle would pass its budget (claim1,
-recurrence) or minus-one would run for more than a few seconds, with exit 2
-where closedform's values would pass the float range. (The tree scans'
-census refuses n > 9 itself, also before any work.)
+default trials, smallest order, largest order, fewest trials and most
+trials; the --suite choices come from that table. An order or a --trials
+below those is a usage error, and so is --trials or --seed on a suite that
+draws nothing at random (its default trials is 0). An order or a --trials
+above the largest is refused before any work: with exit 3 where the oracle
+would pass its budget (claim1, recurrence) or minus-one would run for more
+than a few seconds, with exit 2 where closedform's values would pass the
+float range. (The tree scans' census refuses n > 9 itself, also before any
+work.)
 A verify suite passes when it records no failure, a scan when every summary
 flag its report names in `checks` holds.
 
@@ -81,6 +82,7 @@ class _Suite(NamedTuple):
     smallest: int  # a smaller order would check nothing and pass vacuously
     largest: int | None = None  # a larger one is refused before any work
     fewest_trials: int = 0  # fewer --trials would check nothing too
+    most_trials: int | None = None  # more --trials are refused before any work (exit 3)
     # what a larger order raises: an enumeration budget (exit 3), or a
     # ValueError (exit 2) where the values would pass the float range
     past_largest: type[Exception] = BudgetError
@@ -105,7 +107,9 @@ _SUITES: dict[str, dict[str, _Suite]] = {
         "closedform": _Suite(
             lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1, CLOSED_FORM_N_MAX, past_largest=ValueError
         ),
-        "minus-one": _Suite(lambda n, t, s: verify_minus_one(path_n_max=n, forest_trials=t, seed=s), 60, 500, 1, 10**6),
+        "minus-one": _Suite(
+            lambda n, t, s: verify_minus_one(path_n_max=n, forest_trials=t, seed=s), 60, 500, 1, 10**6, most_trials=50_000
+        ),
     },
     "scan": {
         "tree-bound": _Suite(lambda n, t, s: scan_tree_bound(n), None, 0, 2),
@@ -421,6 +425,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         raise ValueError(f"{name} starts at n = {suite.smallest}; got {args.order_flag} {n}")
     if suite.largest is not None and n > suite.largest:
         raise suite.past_largest(f"{name} is capped at n <= {suite.largest}, got n = {n}")
+    if suite.most_trials is not None and trials > suite.most_trials:
+        raise BudgetError(f"{name} is capped at --trials <= {suite.most_trials}, got --trials {trials}")
     if trials < suite.fewest_trials:
         raise ValueError(f"{name} needs --trials >= {suite.fewest_trials}; got --trials {trials}")
     report = suite.run(n, trials, DEFAULT_SEED if args.seed is None else args.seed)

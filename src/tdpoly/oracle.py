@@ -108,20 +108,3 @@ def gamma_t(g: Graph) -> int | None:
     """Minimum totally dominating set size; None when no such set exists."""
     return brute_force_tdp(g).min_degree()
 
-
-def tdp_by_components(g: Graph) -> IntPoly:
-    """Brute-force polynomial assembled as the product over components.
-
-    Matches brute_force_tdp on the whole graph but keeps each enumeration at
-    component size; the empty graph still maps to the zero polynomial. A
-    connected graph is counted as it is, without a copy.
-    """
-    sets = list(g._component_sets())
-    if len(sets) <= 1:
-        return brute_force_tdp(g)
-    out = IntPoly.one()
-    for comp in sets:
-        out = out * brute_force_tdp(g._induced(comp))
-        if not out:
-            return out
-    return out

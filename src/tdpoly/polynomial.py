@@ -80,14 +80,6 @@ class IntPoly:
                 return i
         return None
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if not self._coeffs:
-            return self
-        return IntPoly._of([0] * k + list(self._coeffs))
-
     def evaluate(self, point):
         """Horner evaluation.
 

@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, cycle_graph, path_graph, to_edge_list
-from .oracle import brute_force_tdp, tdp_by_components
+from .oracle import brute_force_tdp
 from .polynomial import IntPoly, _add_coeffs, _mul_coeffs, ensure_valid_tdp
 from .reports import VerificationReport
 
@@ -37,12 +37,11 @@ def indicator_tdp(g: Graph) -> IntPoly:
     This is the convention of the x^2 terms in the reduction identities:
     the removed closed neighborhoods already account for the dominating
     pair, so an empty remainder contributes a unit factor. A remainder with
-    an isolated vertex contributes 0, otherwise its polynomial (computed
-    componentwise).
+    an isolated vertex contributes 0, otherwise its polynomial.
     """
     if g.order == 0:
         return IntPoly.one()
-    return tdp_by_components(g)
+    return brute_force_tdp(g)
 
 
 def vertex_reduction_rhs(g: Graph, u: int) -> IntPoly:
@@ -50,17 +49,13 @@ def vertex_reduction_rhs(g: Graph, u: int) -> IntPoly:
 
     D_t(G-u) + x*D_t(G/u) - (1+x)*D_t(G/u){W avoids N(u)}
     + sum over v in N(u) of x^2 * indicator(G with N[u], N[v] removed).
-
-    Plain terms use the componentwise oracle; the conditioned term is a
-    single conditioned enumeration because its condition may couple
-    components.
     """
     if not g.is_connected():
         raise ValueError("vertex reduction is stated for connected graphs")
     nbrs = sorted(g.neighbors(u))
     contracted = g.contract_vertex(u)
-    rhs = tdp_by_components(g.delete_vertex(u))
-    rhs = rhs + _X * tdp_by_components(contracted)
+    rhs = brute_force_tdp(g.delete_vertex(u))
+    rhs = rhs + _X * brute_force_tdp(contracted)
     rhs = rhs - _ONE_PLUS_X * brute_force_tdp(contracted, forbidden=nbrs)
     for v in nbrs:
         rhs = rhs + _X2 * indicator_tdp(g.without_closed_neighborhoods([u, v]))
@@ -93,7 +88,7 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) is not present")
     minus_e = g.delete_edge(u, v)
-    rhs = tdp_by_components(minus_e)
+    rhs = brute_force_tdp(minus_e)
     rhs = rhs + _X2 * indicator_tdp(g.without_closed_neighborhoods([u, v]))
     for anchor, removed in ((v, u), (u, v)):
         remainder = minus_e.without_closed_neighborhoods([removed])
@@ -266,8 +261,6 @@ def verify_conditioned_path_recurrence(n_min: int = 5, n_max: int = 14) -> Verif
 
     @cache
     def end_conditioned(k: int) -> IntPoly:
-        if k < 1:
-            raise ValueError("path order must be positive")
         return brute_force_tdp(path_graph(k), required=[k - 1])
 
     for n in range(n_min, n_max + 1):

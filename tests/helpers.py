@@ -8,7 +8,8 @@ package's bookkeeping around it (labeled trees against unlabeled ones), so
 one oracle call per labeled tree, from the exhaustive Pruefer generator kept
 here, is the reference route. The three-term vertex reduction is built from
 oracle calls too: the package uses only the full identity, and the tests
-check the shorter form against it.
+check the shorter form against it. So is `supporting_identity`: the prop1
+suite compares its two sides from the polynomial it already holds.
 `non_supporting_pair_set` is the one wrapper here around package code: only
 the tests ask for the pair set of a whole graph.
 """
@@ -27,7 +28,7 @@ from tdpoly.graph import (
     is_star_shaped,
     to_edge_list,
 )
-from tdpoly.oracle import brute_force_tdp, tdp_by_components
+from tdpoly.oracle import brute_force_tdp
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import indicator_tdp
 
@@ -201,11 +202,24 @@ def simple_vertex_reduction_rhs(g, u):
     """Three-term vertex reduction, valid when the conditioned term vanishes."""
     if not simple_vertex_reduction_applies(g, u):
         raise ValueError(f"short vertex reduction does not apply at vertex {u}")
-    rhs = tdp_by_components(g.delete_vertex(u))
-    rhs = rhs + IntPoly.monomial(1) * tdp_by_components(g.contract_vertex(u))
+    rhs = brute_force_tdp(g.delete_vertex(u))
+    rhs = rhs + IntPoly.monomial(1) * brute_force_tdp(g.contract_vertex(u))
     for v in sorted(g.neighbors(u)):
         rhs = rhs + IntPoly.monomial(2) * indicator_tdp(g.without_closed_neighborhoods([u, v]))
     return rhs
+
+
+def supporting_identity(g):
+    """d_t(G, n-1) = n - (number of supporting vertices), isolated-free G.
+
+    Dropping one vertex a keeps total domination unless some vertex's whole
+    neighborhood was {a}; that happens exactly when a supports a pendant.
+    """
+    cls = classify_vertices(g)
+    if cls.isolated or g.order == 0:
+        raise ValueError("identity requires a graph without isolated vertices")
+    n = g.order
+    return brute_force_tdp(g).coeff(n - 1) == n - len(cls.supporting)
 
 
 def non_supporting_pair_set(g):

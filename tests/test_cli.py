@@ -9,11 +9,13 @@ import json
 
 import pytest
 
+import tdpoly
 from tdpoly import cli, closedform, extremal, reduction
 from tdpoly.errors import InternalConsistencyError
 from tdpoly.graph import Graph, cycle_graph, path_graph
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import cycle_tdp, path_tdp
+from tdpoly.reports import VerificationReport
 
 from helpers import envelope_to_poly, fraction_horner
 
@@ -22,6 +24,33 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# -- package surface ------------------------------------------------------------
+
+
+def test_public_names_are_listed():
+    # what the CLI and the paper's identities need; adding or removing a
+    # public name is an edit of this list
+    assert set(tdpoly.__all__) == {
+        "BudgetError", "Graph", "GraphParseError", "IntPoly", "InternalConsistencyError",
+        "ScanReport", "VerificationReport",
+        "brute_force_tdp", "gamma_t", "ensure_valid_tdp",
+        "classify_vertices", "cycle_graph", "disjoint_union", "fixed_small_corpus",
+        "is_cycle_shaped", "is_path_shaped", "is_star_shaped", "parse_edge_list", "path_graph",
+        "random_connected_corpus", "random_connected_graph", "random_forest", "star_graph",
+        "to_edge_list", "two_corona",
+        "cycle_tdp", "edge_reduction_rhs", "indicator_tdp", "path_tdp", "tree_tdp",
+        "verify_conditioned_path_recurrence", "verify_edge_reduction", "verify_recurrences",
+        "verify_vertex_reduction", "vertex_reduction_rhs",
+        "cycle_closed_eval", "forest_at_minus_one", "path_at_minus_one", "path_closed_eval",
+        "star_tdp", "verify_closed_forms", "verify_minus_one",
+        "degree2_row", "gamma_bounds_row", "gamma_scan_corpus", "is_two_corona",
+        "minimal_tree_scan", "scan_degree2", "scan_gamma_bounds", "scan_tree_bound",
+        "verify_basic_identities",
+    }
+    assert len(tdpoly.__all__) == 51
+    assert all(hasattr(tdpoly, name) for name in tdpoly.__all__)
 
 
 # -- poly -----------------------------------------------------------------------
@@ -670,6 +699,23 @@ def test_minus_one_refuses_orders_past_the_cap(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["verify", "--suite", "minus-one", "--n-max", "1000001"])
     assert code == 3 and out == ""
     assert err == "error: verify --suite minus-one is capped at n <= 1000000, got n = 1000001\n"
+
+
+def test_minus_one_refuses_trials_past_the_cap(capsys, monkeypatch):
+    # the forest trials cost time linearly, so --trials has a cap of its own
+    seen = []
+
+    def record_trials(path_n_max, forest_trials, seed):
+        seen.append(forest_trials)
+        return VerificationReport("minus-one")
+
+    monkeypatch.setattr(cli, "verify_minus_one", record_trials)
+    code, out, err = run_cli(capsys, ["verify", "--suite", "minus-one", "--trials", "50000"])
+    assert code == 0 and err == "" and seen == [50000]
+    monkeypatch.setattr(cli, "verify_minus_one", refuse_to_run)
+    code, out, err = run_cli(capsys, ["verify", "--suite", "minus-one", "--trials", "50001"])
+    assert code == 3 and out == ""
+    assert err == "error: verify --suite minus-one is capped at --trials <= 50000, got --trials 50001\n"
 
 
 def test_prop1_unions_stay_within_the_oracle_cap(capsys):

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
 
+from tdpoly import extremal, oracle
 from tdpoly.extremal import (
     _gamma_by_cover_search,
     degree2_row,
@@ -15,7 +18,6 @@ from tdpoly.extremal import (
     scan_degree2,
     scan_gamma_bounds,
     scan_tree_bound,
-    supporting_identity,
     tree_signature,
     verify_basic_identities,
 )
@@ -28,6 +30,7 @@ from tdpoly.graph import (
     random_connected_graph,
     random_forest,
     star_graph,
+    to_edge_list,
     two_corona,
 )
 from tdpoly.polynomial import IntPoly
@@ -38,6 +41,7 @@ from helpers import (
     non_supporting_pair_set,
     pairwise_minimal_flags,
     random_tree,
+    supporting_identity,
     tree_bound_row,
     two_corona_by_partition,
 )
@@ -351,6 +355,44 @@ def test_cover_search_on_long_paths_and_cycles():
         expected = n // 2 + (n % 4 != 0)
         assert _gamma_by_cover_search(path_graph(n)) == expected, n
         assert _gamma_by_cover_search(cycle_graph(n)) == expected, n
+
+
+def test_prop1_enumerates_each_graph_once(monkeypatch):
+    # the component-product row counts copies of the components and the
+    # supporting-vertex row reads the recorded polynomial, so each corpus
+    # graph itself goes through one unconditioned enumeration
+    corpus = fixed_small_corpus() + [
+        Graph([]),
+        Graph([0]),
+        disjoint_union(path_graph(2), Graph([0])),
+        disjoint_union(path_graph(3), cycle_graph(4)),
+        random_connected_graph(9, 0.3, 5),
+    ]
+    calls = Counter()
+    real = oracle.brute_force_tdp
+
+    def counting(g, **conditions):
+        if not conditions:
+            calls[id(g)] += 1
+        return real(g, **conditions)
+
+    monkeypatch.setattr(extremal, "brute_force_tdp", counting)
+    monkeypatch.setattr(oracle, "brute_force_tdp", counting)
+    assert verify_basic_identities(corpus).passed
+    assert [calls[id(g)] for g in corpus] == [1] * len(corpus)
+
+
+def test_prop1_supporting_row_fails_on_a_wrong_support_count(monkeypatch):
+    # the row compares n - |supporting| with the recorded d_t(G, n-1), so a
+    # classification that misses the supporting vertices must show
+    corpus = [path_graph(4), cycle_graph(5), star_graph(5)]
+    real = extremal.classify_vertices
+    monkeypatch.setattr(extremal, "classify_vertices", lambda g: replace(real(g), supporting=frozenset()))
+    report = verify_basic_identities(corpus)
+    assert [(f.graph, f.param) for f in report.failures] == [
+        (to_edge_list(path_graph(4)), "supporting-identity"),
+        (to_edge_list(star_graph(5)), "supporting-identity"),
+    ]
 
 
 def test_verify_basic_identities_passes():

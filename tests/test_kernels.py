@@ -187,7 +187,7 @@ def test_kernel_spans_several_blocks():
     # P_15 + P_11 with the P_11 required whole: its bits leave the target,
     # 15 candidates remain, and the count is x^11 D_t(P_15)
     two = disjoint_union(path_graph(15), path_graph(11))
-    assert brute_force_tdp(two, required=range(15, 26)) == path_tdp(15).shift(11)
+    assert brute_force_tdp(two, required=range(15, 26)) == path_tdp(15) * IntPoly.monomial(11)
 
 
 def test_sparse_n26_call_memory():

@@ -17,7 +17,7 @@ from tdpoly.graph import (
     random_connected_graph,
     star_graph,
 )
-from tdpoly.oracle import MAX_ENUM_ORDER, brute_force_tdp, gamma_t, tdp_by_components
+from tdpoly.oracle import MAX_ENUM_ORDER, brute_force_tdp, gamma_t
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import cycle_tdp, path_tdp, tree_tdp
 
@@ -188,17 +188,15 @@ def test_gamma_t_empty_graph():
 
 
 def test_component_product_law():
+    # the count of a disjoint union is the product of the parts' counts
     g = disjoint_union(path_graph(3), cycle_graph(4))
-    assert tdp_by_components(g) == brute_force_tdp(path_graph(3)) * brute_force_tdp(
-        cycle_graph(4)
-    )
-    assert tdp_by_components(g) == brute_force_tdp(g)
+    assert brute_force_tdp(g) == brute_force_tdp(path_graph(3)) * brute_force_tdp(cycle_graph(4))
 
 
 def test_component_product_matches_naive_enumeration():
-    # a connected graph is counted without a copy, a disconnected one per
-    # component; both must equal a plain enumeration of the whole graph
-    assert tdp_by_components(Graph([])) == IntPoly.zero()  # the oracle's convention
+    # connected and disconnected graphs alike must equal a plain enumeration
+    # of the whole graph, and for a disconnected one the product of its parts
+    assert brute_force_tdp(Graph([])) == IntPoly.zero()  # the oracle's convention
     rng = random.Random(77)
     graphs = [
         Graph([0]),
@@ -216,7 +214,11 @@ def test_component_product_matches_naive_enumeration():
     assert any(g.is_connected() and g.order > 1 for g in graphs)
     assert any(not g.is_connected() for g in graphs)
     for g in graphs:
-        assert tdp_by_components(g) == naive_tdp(g), g
+        assert brute_force_tdp(g) == naive_tdp(g), g
+        parts = IntPoly.one()
+        for comp in g.components():
+            parts = parts * brute_force_tdp(comp)
+        assert brute_force_tdp(g) == parts, g
 
 
 def test_budget_enforced():
@@ -225,10 +227,10 @@ def test_budget_enforced():
         brute_force_tdp(big)
     with pytest.raises(BudgetError):
         gamma_t(big)
-    # tdp_by_components budgets per component, so a wide forest is fine
+    # the budget is on the whole graph, even when every component fits it
     wide = disjoint_union(star_graph(14), star_graph(14))
-    per_star = brute_force_tdp(star_graph(14))
-    assert tdp_by_components(wide) == per_star * per_star
+    with pytest.raises(BudgetError):
+        brute_force_tdp(wide)
 
 
 def test_matches_independent_enumeration():

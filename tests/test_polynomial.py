@@ -51,7 +51,7 @@ def test_shared_zero_and_one_are_unchanged_by_arithmetic():
     zero, one = IntPoly.zero(), IntPoly.one()
     p = IntPoly((0, 0, 2, 1))
     assert (one + p) * (zero + one) - zero == IntPoly((1, 0, 2, 1))
-    assert zero.shift(3) == zero and one.shift(2) == X2
+    assert zero * IntPoly.monomial(3) == zero and one * IntPoly.monomial(2) == X2
     assert IntPoly.zero().coeffs == () and IntPoly.one().coeffs == (1,)
 
 
@@ -142,11 +142,6 @@ def test_min_degree():
     assert X2.min_degree() == 2
     assert IntPoly.zero().min_degree() is None
     assert IntPoly.zero().degree() is None
-
-
-def test_shift():
-    assert X2.shift(3) == IntPoly.monomial(5)
-    assert IntPoly((1, 1)).shift(0) == IntPoly((1, 1))
 
 
 def test_str_rendering():

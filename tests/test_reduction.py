@@ -16,7 +16,7 @@ from tdpoly.graph import (
     random_forest,
     star_graph,
 )
-from tdpoly.oracle import brute_force_tdp, gamma_t, tdp_by_components
+from tdpoly.oracle import brute_force_tdp, gamma_t
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import (
     _fold_forest,
@@ -283,7 +283,7 @@ def test_tree_tdp_random_trees():
     rng = random.Random(2024)
     for _ in range(40):
         t = random_tree(rng.randint(1, 16), rng.randrange(2**32))
-        assert tree_tdp(t) == tdp_by_components(t)
+        assert tree_tdp(t) == brute_force_tdp(t)
 
 
 @pytest.mark.parametrize("n", [1000, 1500])

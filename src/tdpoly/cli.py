@@ -12,10 +12,9 @@ trials; the --suite choices come from that table. An order or a --trials
 below those is a usage error, and so is --trials or --seed on a suite that
 draws nothing at random (its default trials is 0). An order or a --trials
 above the largest is refused before any work: with exit 3 where the oracle
-would pass its budget (claim1, recurrence) or minus-one would run for more
-than a few seconds, with exit 2 where closedform's values would pass the
-float range. (The tree scans' census refuses n > 9 itself, also before any
-work.)
+would pass its budget (claim1, recurrence) or minus-one or a tree scan
+would run for more than a few seconds, with exit 2 where closedform's values
+would pass the float range.
 A verify suite passes when it records no failure, a scan when every summary
 flag its report names in `checks` holds.
 
@@ -33,10 +32,10 @@ import re
 import sys
 import time
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .closedform import CLOSED_FORM_N_MAX, verify_closed_forms, verify_minus_one
-from .errors import BudgetError, GraphParseError, InternalConsistencyError
+from .errors import BudgetError, InternalConsistencyError
 from .extremal import (
     gamma_scan_corpus,
     minimal_tree_scan,
@@ -62,8 +61,6 @@ from .oracle import MAX_ENUM_ORDER, brute_force_tdp
 from .polynomial import IntPoly
 from .reduction import (
     _recurrence_terms,
-    cycle_tdp,
-    path_tdp,
     tree_tdp,
     verify_conditioned_path_recurrence,
     verify_edge_reduction,
@@ -112,8 +109,10 @@ _SUITES: dict[str, dict[str, _Suite]] = {
         ),
     },
     "scan": {
-        "tree-bound": _Suite(lambda n, t, s: scan_tree_bound(n), None, 0, 2),
-        "minimal-tree": _Suite(lambda n, t, s: minimal_tree_scan(n), None, 0, 2),
+        # the census of free trees bounds both tree scans; minimal-tree's
+        # example walk also decodes up to n^(n-2) Pruefer sequences
+        "tree-bound": _Suite(lambda n, t, s: scan_tree_bound(n), None, 0, 2, 14),
+        "minimal-tree": _Suite(lambda n, t, s: minimal_tree_scan(n), None, 0, 2, 9),
         # every degree2 instance is drawn at random, so 0 trials check nothing
         "degree2": _Suite(lambda n, t, s: scan_degree2(t, n, s), None, 200, 2, fewest_trials=1),
         "gamma-bounds": _Suite(lambda n, t, s: scan_gamma_bounds(gamma_scan_corpus(t, n, s), _params(n, t, s)), None, 30, 3),
@@ -137,9 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (GraphParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -149,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # GraphParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # anything else is a defect: one line, never a traceback
@@ -196,6 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_graph_source(p_eval)
     p_eval.add_argument("--at", nargs="+", required=True, metavar="POINT",
                         help="evaluation points; complex accepted as a+bi")
+    # argparse takes only -N and -N.N for negative numbers; every other point
+    # that starts with "-" and a digit, "." or "i" (-1e3, -1+2i, -i) is a value too
+    p_eval._negative_number_matcher = re.compile(r"^-[\d.i]")
     add_output_options(p_eval)
     p_eval.set_defaults(run=_cmd_poly)
 
@@ -258,8 +257,8 @@ def _family_member(family: str, n: int) -> Graph:
 
 
 def _dispatch(g: Graph, method: str) -> tuple[str, str]:
-    """Resolve the method selector to (method reported, engine): a key of
-    _ENGINES, where path and cycle are the recurrence."""
+    """Resolve the method selector to (method reported, engine): tree,
+    brute, or the path or cycle recurrence."""
     if method == "auto":
         if g.is_forest():
             return "tree", "tree"
@@ -277,44 +276,27 @@ def _dispatch(g: Graph, method: str) -> tuple[str, str]:
     raise ValueError(f"unknown method {method!r}")
 
 
-_ENGINES: dict[str, Callable[[Graph], IntPoly]] = {  # names looked up at call time
-    "tree": lambda g: tree_tdp(g),
-    "brute": lambda g: brute_force_tdp(g),
-    "path": lambda g: path_tdp(g.order),
-    "cycle": lambda g: cycle_tdp(g.order),
-}
+def _solve(graphs: Iterable[Graph], method: str) -> Iterator[tuple[IntPoly, dict]]:
+    """(D_t, output envelope) of each graph in turn.
+
+    A family's members come in consecutive orders, and those the recurrence
+    answers are all paths or all cycles, so they take the terms of one walk.
+    """
+    walk = None
+    for g in graphs:
+        used, engine = _dispatch(g, method)
+        if engine == "tree":
+            poly = tree_tdp(g)
+        elif engine == "brute":
+            poly = brute_force_tdp(g)
+        else:
+            if walk is None:
+                walk = _recurrence_terms(engine, g.order)
+            poly = next(walk)
+        yield poly, {"n": g.order, "method": used, "gamma_t": poly.min_degree(), "coeffs": poly.to_coeff_strings()}
 
 
-def compute_poly(g: Graph, method: str) -> tuple[IntPoly, str]:
-    """Resolve the method selector and return (polynomial, method actually used)."""
-    label, engine = _dispatch(g, method)
-    return _ENGINES[engine](g), label
-
-
-# -- envelopes ------------------------------------------------------------------
-
-
-def make_envelope(g: Graph, poly: IntPoly, method: str) -> dict:
-    gamma = poly.min_degree()
-    return {"n": g.order, "method": method, "gamma_t": gamma, "coeffs": poly.to_coeff_strings()}
-
-
-def _envelope_text(env: dict) -> str:
-    lines = [f"n = {env['n']}", f"method = {env['method']}", f"gamma_t = {env['gamma_t']}"]
-    lines.append(f"D_t = {IntPoly.from_coeff_strings(env['coeffs'])}")
-    if "evaluations" in env:
-        for point, value in env["evaluations"].items():
-            lines.append(f"D_t({point}) = {value}")
-    if "timing_ms" in env:
-        lines.append(f"timing_ms = {env['timing_ms']}")
-    return "\n".join(lines)
-
-
-def _emit_envelope(env: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(env, separators=(",", ":")))
-    else:
-        print(_envelope_text(env))
+# -- evaluation points ------------------------------------------------------------
 
 
 def parse_point(text: str) -> int | float | complex:
@@ -351,18 +333,23 @@ def _value_for_output(value: int | float | complex):
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    """poly, and eval when --at gives points."""
+    """poly, and eval when --at gives points: the one-graph case of family."""
     start = time.perf_counter()
-    g = _load_graph(args)
-    poly, used = compute_poly(g, args.method)
-    env = make_envelope(g, poly, used)
+    poly, env = next(_solve([_load_graph(args)], args.method))
     if args.at is not None:
         env["evaluations"] = {
             token: _value_for_output(poly.evaluate(parse_point(token))) for token in args.at
         }
     if args.timing:
         env["timing_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    _emit_envelope(env, args.format)
+    if args.format == "json":
+        print(json.dumps(env, separators=(",", ":")))
+        return 0
+    lines = [f"n = {env['n']}", f"method = {env['method']}", f"gamma_t = {env['gamma_t']}", f"D_t = {poly}"]
+    lines += [f"D_t({point}) = {value}" for point, value in env.get("evaluations", {}).items()]
+    if args.timing:
+        lines.append(f"timing_ms = {env['timing_ms']}")
+    print("\n".join(lines))
     return 0
 
 
@@ -370,27 +357,15 @@ def _cmd_family(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if args.n_min > args.n_max:
         raise ValueError("--n-min must not exceed --n-max")
-    # members come in consecutive orders, and those the recurrence answers
-    # are all paths or all cycles, so they take the terms of one walk
-    items, walk = [], None
-    for n in range(args.n_min, args.n_max + 1):
-        g = _family_member(args.family, n)
-        used, engine = _dispatch(g, args.method)
-        if engine in ("path", "cycle"):
-            if walk is None:
-                walk = _recurrence_terms(engine, g.order)
-            poly = next(walk)
-        else:
-            poly = _ENGINES[engine](g)
-        items.append(make_envelope(g, poly, used))
-    out = {"family": args.family, "n_min": args.n_min, "n_max": args.n_max, "items": items}
+    members = (_family_member(args.family, n) for n in range(args.n_min, args.n_max + 1))
+    solved = list(_solve(members, args.method))
+    out = {"family": args.family, "n_min": args.n_min, "n_max": args.n_max, "items": [env for _, env in solved]}
     if args.timing:
         out["timing_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     if args.format == "json":
         print(json.dumps(out, separators=(",", ":")))
     else:
-        for env in items:
-            poly = IntPoly.from_coeff_strings(env["coeffs"])
+        for poly, env in solved:
             print(f"n={env['n']} method={env['method']} gamma_t={env['gamma_t']} D_t = {poly}")
     return 0
 

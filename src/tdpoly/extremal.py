@@ -22,7 +22,7 @@ from math import comb, factorial
 from typing import Iterable
 
 from .closedform import star_tdp
-from .errors import BudgetError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .graph import (
     Graph,
     _prufer_edges,
@@ -38,10 +38,6 @@ from .graph import (
 from .oracle import brute_force_tdp, gamma_t
 from .polynomial import IntPoly
 from .reports import ScanReport, VerificationReport
-
-# The tree scans' largest order: their example walk decodes up to n^(n-2)
-# Pruefer sequences, and 9^7 is the desk-scale limit.
-MAX_TREE_ENUM_ORDER = 9
 
 
 # -- unlabeled trees ----------------------------------------------------------
@@ -130,16 +126,13 @@ def free_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], str, int]]:
     return [(edges, form, aut) for form, (edges, aut) in level.items()]
 
 
-def _tree_census(suite: str, n: int) -> tuple[dict[str, IntPoly], dict[IntPoly, dict]]:
+def _tree_census(n: int) -> tuple[dict[str, IntPoly], dict[IntPoly, dict]]:
     """Oracle polynomial per tree class and labeled/star counts per polynomial.
 
-    Each class T stands for n!/|Aut(T)| labeled trees on 0..n-1. The scans
-    keep the labeled route's order cap, so the example walk stays bounded.
+    Each class T stands for n!/|Aut(T)| labeled trees on 0..n-1.
     """
     if n < 2:
         raise ValueError("tree scans start at order 2")
-    if n > MAX_TREE_ENUM_ORDER:
-        raise BudgetError(f"scan --suite {suite} is capped at n <= {MAX_TREE_ENUM_ORDER}, got n = {n}")
     poly_of: dict[str, IntPoly] = {}
     classes: dict[IntPoly, dict] = {}
     for edges, form, aut in free_trees(n):
@@ -201,7 +194,7 @@ def scan_tree_bound(n: int) -> ScanReport:
     alone). The summary also settles whether equality and the largest total
     count of dominating sets are attained by stars and nothing else.
     """
-    _, classes = _tree_census("tree-bound", n)
+    _, classes = _tree_census(n)
     star_poly = star_tdp(n)
 
     report = ScanReport(
@@ -246,7 +239,7 @@ def minimal_tree_scan(n: int) -> ScanReport:
     the flag. The summary records whether one exists and which, leaving the
     interpretation to the reader; it has no checks, so the scan always passes.
     """
-    poly_of, classes = _tree_census("minimal-tree", n)
+    poly_of, classes = _tree_census(n)
     polys = sorted(classes, key=lambda p: p.coeffs)
     examples = _first_examples(n, poly_of, len(polys))
     minimal_poly = minimal_element(polys)

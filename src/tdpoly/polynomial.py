@@ -157,10 +157,6 @@ class IntPoly:
         """Coefficients as decimal strings, index = degree (exactness-preserving JSON form)."""
         return [str(c) for c in self._coeffs]
 
-    @classmethod
-    def from_coeff_strings(cls, strings: Sequence[str]) -> "IntPoly":
-        return cls(int(s) for s in strings)
-
 
 _ZERO = IntPoly()
 _ONE = IntPoly((1,))

@@ -53,9 +53,14 @@ def fraction_horner(coeffs, re, im=0):
     return acc_re, acc_im
 
 
+def from_coeff_strings(strings):
+    """Inverse of ``IntPoly.to_coeff_strings``."""
+    return IntPoly(int(s) for s in strings)
+
+
 def envelope_to_poly(envelope):
     """The polynomial a CLI JSON envelope carries: inverse of its coeffs part."""
-    return IntPoly.from_coeff_strings(envelope["coeffs"])
+    return from_coeff_strings(envelope["coeffs"])
 
 
 def union(g1, g2):

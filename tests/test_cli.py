@@ -6,13 +6,15 @@ same ones a shell user would see.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
 import tdpoly
 from tdpoly import cli, closedform, extremal, reduction
 from tdpoly.errors import InternalConsistencyError
-from tdpoly.graph import Graph, cycle_graph, path_graph
+from tdpoly.graph import cycle_graph, path_graph
+from tdpoly.oracle import brute_force_tdp
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import cycle_tdp, path_tdp
 from tdpoly.reports import VerificationReport
@@ -157,12 +159,47 @@ def test_poly_long_path_uses_tree_engine(capsys):
     assert envelope_to_poly(env) == path_tdp(1500)
 
 
-def test_compute_poly_method_resolution():
-    assert cli.compute_poly(path_graph(5), "auto")[1] == "tree"
-    assert cli.compute_poly(cycle_graph(5), "auto")[1] == "recurrence"
-    k4 = Graph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert cli.compute_poly(k4, "auto")[1] == "brute"
-    assert cli.compute_poly(path_graph(6), "recurrence")[1] == "recurrence"
+def test_poly_reports_the_method_dispatched(capsys, tmp_path):
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    for argv, method in (
+        (["--family", "path", "--n", "5"], "tree"),
+        (["--family", "cycle", "--n", "5"], "recurrence"),
+        (["--in", str(k4)], "brute"),
+        (["--family", "path", "--n", "6", "--method", "recurrence"], "recurrence"),
+    ):
+        code, out, err = run_cli(capsys, ["poly", *argv])
+        assert code == 0 and err == "", argv
+        assert json.loads(out)["method"] == method, argv
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("the CLI answers the recurrence through its own walk")
+
+
+def test_recurrence_requests_take_one_route(capsys, monkeypatch):
+    # poly, eval and family all answer through the walk, so the one-order
+    # entry points are never called; each answer matches the oracle
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "tdpoly"]:
+        for name in ("path_tdp", "cycle_tdp"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail_if_called)
+    requests = [
+        ("poly --family cycle --n 9", cycle_graph),
+        ("eval --family cycle --n 9 --at 2", cycle_graph),
+        ("poly --family path --n 9 --method recurrence", path_graph),
+    ]
+    for argv, maker in requests:
+        code, out, err = run_cli(capsys, argv.split())
+        assert code == 0 and err == "", argv
+        env = json.loads(out)
+        assert env["method"] == "recurrence"
+        assert envelope_to_poly(env) == brute_force_tdp(maker(9)), argv
+    code, out, err = run_cli(capsys, "family --family cycle --n-min 3 --n-max 9".split())
+    assert code == 0 and err == ""
+    items = json.loads(out)["items"]
+    assert [env["n"] for env in items] == list(range(3, 10))
+    assert [envelope_to_poly(env) for env in items] == [brute_force_tdp(cycle_graph(n)) for n in range(3, 10)]
 
 
 # -- family ---------------------------------------------------------------------
@@ -277,6 +314,25 @@ def test_eval_beyond_float_range_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "beyond the float range" in err
+
+
+def test_eval_negative_points_in_every_form(capsys):
+    # argparse alone takes "-1e3", "-1+2i" and "-2i" for options
+    points = ["1", "-1+2i", "-1e3", "-2i", "-0.5", "-4"]
+    code, out, err = run_cli(capsys, ["eval", "--family", "path", "--n", "3", "--at", *points])
+    assert code == 0 and err == ""
+    values = json.loads(out)["evaluations"]
+    assert list(values) == points
+    coeffs = path_tdp(3).coeffs
+    assert values["1"] == "3" and values["-4"] == str(fraction_horner(coeffs, -4)[0])
+    assert values["-0.5"] == float(fraction_horner(coeffs, -0.5)[0])
+    assert values["-1e3"] == float(fraction_horner(coeffs, -1000)[0])
+    for token, (re, im) in (("-1+2i", (-1, 2)), ("-2i", (0, -2))):
+        want_re, want_im = fraction_horner(coeffs, re, im)
+        assert complex(values[token]) == complex(want_re, want_im), token
+    code, out, err = run_cli(capsys, ["eval", "--family", "path", "--n", "3", "--at=-1e3"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["evaluations"] == {"-1e3": float(fraction_horner(coeffs, -1000)[0])}
 
 
 def test_parse_point_forms():
@@ -429,11 +485,17 @@ def test_tree_scan_bytes_frozen(capsys, suite, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == TREE_SCAN_DIGESTS[(suite, n, fmt)]
 
 
+# each tree scan's largest order and the function that runs it
+TREE_SCAN_CAPS = {"tree-bound": (14, "scan_tree_bound"), "minimal-tree": (9, "minimal_tree_scan")}
+
+
 @pytest.mark.parametrize("suite", ["tree-bound", "minimal-tree"])
-def test_tree_scans_refuse_orders_outside_the_cap(capsys, suite):
-    code, out, err = run_cli(capsys, ["scan", "--suite", suite, "--n", "10"])
+def test_tree_scans_refuse_orders_outside_the_cap(capsys, monkeypatch, suite):
+    largest, runner = TREE_SCAN_CAPS[suite]
+    monkeypatch.setattr(cli, runner, refuse_to_run)
+    code, out, err = run_cli(capsys, ["scan", "--suite", suite, "--n", str(largest + 1)])
     assert code == 3 and out == ""
-    assert err == f"error: scan --suite {suite} is capped at n <= 9, got n = 10\n"
+    assert err == f"error: scan --suite {suite} is capped at n <= {largest}, got n = {largest + 1}\n"
     code, out, err = run_cli(capsys, ["scan", "--suite", suite, "--n", "1"])
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
@@ -925,20 +987,20 @@ def test_budget_exhaustion_exit_3(capsys, tmp_path):
 
 
 def test_internal_error_exit_4(capsys, monkeypatch):
-    def explode(g, method):
+    def explode(g):
         raise InternalConsistencyError("sanity check failed")
 
-    monkeypatch.setattr(cli, "compute_poly", explode)
+    monkeypatch.setattr(cli, "tree_tdp", explode)
     code, _, err = run_cli(capsys, ["poly", "--family", "path", "--n", "3"])
     assert code == 4
     assert "sanity check failed" in err
 
 
 def test_unexpected_error_exit_4_one_line(capsys, monkeypatch):
-    def explode(g, method):
+    def explode(g):
         raise RuntimeError("engine fell over")
 
-    monkeypatch.setattr(cli, "compute_poly", explode)
+    monkeypatch.setattr(cli, "tree_tdp", explode)
     code, out, err = run_cli(capsys, ["poly", "--family", "path", "--n", "3"])
     assert code == 4
     assert out == ""
@@ -947,10 +1009,10 @@ def test_unexpected_error_exit_4_one_line(capsys, monkeypatch):
 
 def test_out_of_memory_exit_3_one_line(capsys, monkeypatch):
     # running out of memory is a resource limit, not a defect: exit 3, not 4
-    def exhaust(n):
+    def exhaust(g, method):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "cycle_tdp", exhaust)
+    monkeypatch.setattr(cli, "_dispatch", exhaust)
     code, out, err = run_cli(capsys, ["eval", "--family", "cycle", "--n", "7", "--at", "-1"])
     assert code == 3
     assert out == ""

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -5,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from tdpoly import extremal, oracle
+from tdpoly import cli, extremal, oracle
 from tdpoly.extremal import (
     _gamma_by_cover_search,
     degree2_row,
@@ -102,12 +103,16 @@ def test_minimal_tree_scan_order_five():
 
 # -- unlabeled tree census -------------------------------------------------------
 
-# Free trees of order n = 1..10 (OEIS A000055) and Cayley's n^(n-2) for n = 2..9.
-FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+# Free trees of order n = 1..14 (OEIS A000055) and Cayley's n^(n-2) for n = 2..9.
+FREE_TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159,
+}
 CAYLEY = {2: 1, 3: 3, 4: 16, 5: 125, 6: 1296, 7: 16807, 8: 262144, 9: 4782969}
 
 
-@pytest.mark.parametrize("n", sorted(FREE_TREE_COUNTS))
+# orders past 10 are counted by test_tree_bound_scan_past_the_example_walk_cap,
+# so the largest census runs once
+@pytest.mark.parametrize("n", range(1, 11))
 def test_free_tree_counts(n):
     trees = free_trees(n)
     assert len(trees) == FREE_TREE_COUNTS[n]
@@ -122,6 +127,22 @@ def test_tree_scans_count_cayley_labeled_trees(n):
     report = scan_tree_bound(n)
     assert report.summary["labeled_trees"] == CAYLEY[n]
     assert sum(row["labeled_count"] for row in report.rows) == CAYLEY[n]
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_tree_bound_scan_past_the_example_walk_cap(capsys, monkeypatch, n):
+    # tree-bound has no example walk, so it runs past minimal-tree's cap of 9
+    censuses = []
+    honest = extremal.free_trees
+    monkeypatch.setattr(extremal, "free_trees", lambda k: censuses.append(honest(k)) or censuses[-1])
+    code = cli.main(["scan", "--suite", "tree-bound", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""  # exit 0: every check holds
+    summary = json.loads(captured.out)["summary"]
+    assert [len(trees) for trees in censuses] == [FREE_TREE_COUNTS[n]]
+    assert summary["labeled_trees"] == str(n ** (n - 2))  # Cayley's formula
+    for flag in ("all_bound_hold", "equality_exactly_stars", "max_attained_only_by_star_poly"):
+        assert summary[flag] is True, flag
 
 
 def automorphism_count(n, edges):

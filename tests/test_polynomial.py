@@ -9,7 +9,7 @@ from tdpoly.polynomial import IntPoly, ensure_valid_tdp
 
 from tdpoly.reduction import cycle_tdp
 
-from helpers import coeffwise_le, fraction_horner, poly_arith
+from helpers import coeffwise_le, fraction_horner, from_coeff_strings, poly_arith
 
 X2 = IntPoly.monomial(2)
 P4 = IntPoly((0, 0, 1, 2, 1))  # x^4 + 2x^3 + x^2
@@ -153,7 +153,7 @@ def test_str_rendering():
 def test_coeff_strings_round_trip():
     strings = P4.to_coeff_strings()
     assert strings == ["0", "0", "1", "2", "1"]
-    assert IntPoly.from_coeff_strings(strings) == P4
+    assert from_coeff_strings(strings) == P4
 
 
 def test_coeffwise_le():
@@ -209,4 +209,4 @@ def test_evaluate_is_ring_homomorphism(p, q, point):
 @settings(deadline=None, max_examples=100)
 @given(polys)
 def test_coeff_strings_round_trip_property(p):
-    assert IntPoly.from_coeff_strings(p.to_coeff_strings()) == p
+    assert from_coeff_strings(p.to_coeff_strings()) == p

@@ -67,7 +67,7 @@ from .reduction import (
     verify_recurrences,
     verify_vertex_reduction,
 )
-from .reports import ScanReport, VerificationReport
+from .reports import ScanReport, VerificationReport, _jsonable
 
 DEFAULT_SEED = 42
 
@@ -240,10 +240,10 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _read_edge_list(path: str) -> Graph:
-    # one bytes read and one decode cost less than a text-mode read; the
-    # parser's line split treats "\r\n" and "\r" as a text-mode read would
+    # one bytes read and one decode cost less than a text-mode read; the parser splits
+    # "\r\n" and "\r" as text mode would, and utf-8-sig drops a leading byte-order mark
     with open(path, "rb") as fh:
-        return parse_edge_list(fh.read().decode("utf-8"))
+        return parse_edge_list(fh.read().decode("utf-8-sig"))
 
 
 def _family_member(family: str, n: int) -> Graph:
@@ -320,15 +320,6 @@ def parse_point(text: str) -> int | float | complex:
         raise ValueError(f"cannot parse evaluation point {text!r}") from None
 
 
-def _value_for_output(value: int | float | complex):
-    # exact integers travel as decimal strings, like coefficients do
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, complex):
-        return str(value)
-    return value
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -337,9 +328,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     poly, env = next(_solve([_load_graph(args)], args.method))
     if args.at is not None:
-        env["evaluations"] = {
-            token: _value_for_output(poly.evaluate(parse_point(token))) for token in args.at
-        }
+        env["evaluations"] = {token: _jsonable(poly.evaluate(parse_point(token))) for token in args.at}
     if args.timing:
         env["timing_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     if args.format == "json":

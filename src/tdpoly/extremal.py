@@ -364,9 +364,7 @@ def gamma_bounds_row(g: Graph) -> dict:
     """
     if g.order < 3 or not g.is_connected():
         raise ValueError("bounds require a connected graph with at least 3 vertices")
-    gamma = gamma_t(g)
-    if gamma is None:
-        raise ValueError("graph has no totally dominating set")
+    gamma = gamma_t(g)  # not None: every vertex of a connected graph of order >= 2 has a neighbour
     n = g.order
     equality = 3 * gamma == 2 * n
     corona = is_two_corona(g)

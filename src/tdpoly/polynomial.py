@@ -51,11 +51,11 @@ class IntPoly:
         return _ONE
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPoly":
-        """coeff * x**degree"""
+    def monomial(cls, degree: int) -> "IntPoly":
+        """x**degree"""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
+        return cls((0,) * degree + (1,))
 
     @property
     def coeffs(self) -> tuple[int, ...]:

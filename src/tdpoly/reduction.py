@@ -222,41 +222,39 @@ def tree_tdp(g: Graph) -> IntPoly:
 # -- differential verification suites ----------------------------------------
 
 
-def verify_vertex_reduction(graphs: Iterable[Graph], params: dict | None = None) -> VerificationReport:
-    """Compare the oracle against the vertex reduction at every vertex."""
-    report = VerificationReport("theorem1", dict(params or {}))
-    for g in graphs:
-        if not g.is_connected():
-            continue
+def _verify_reduction(suite: str, graphs: Iterable[Graph], params: dict | None, sides: Callable) -> VerificationReport:
+    """Check each connected graph, enumerated once, against every (param, rhs) in sides(g)."""
+    report = VerificationReport(suite, dict(params or {}))
+    for g in filter(Graph.is_connected, graphs):
         text = to_edge_list(g)
         lhs = brute_force_tdp(g)
-        for u in g.vertices:
-            report.record(text, f"u={u}", lhs, vertex_reduction_rhs(g, u))
+        for param, rhs in sides(g):
+            report.record(text, param, lhs, rhs)
     return report
+
+
+def verify_vertex_reduction(graphs: Iterable[Graph], params: dict | None = None) -> VerificationReport:
+    """Compare the oracle against the vertex reduction at every vertex."""
+    return _verify_reduction(
+        "theorem1", graphs, params, lambda g: ((f"u={u}", vertex_reduction_rhs(g, u)) for u in g.vertices)
+    )
 
 
 def verify_edge_reduction(graphs: Iterable[Graph], params: dict | None = None) -> VerificationReport:
     """Compare the oracle against the edge reduction at every edge."""
-    report = VerificationReport("theorem3", dict(params or {}))
-    for g in graphs:
-        if not g.is_connected():
-            continue
-        text = to_edge_list(g)
-        lhs = brute_force_tdp(g)
-        for u, v in g.edges:
-            report.record(text, f"e=({u},{v})", lhs, edge_reduction_rhs(g, u, v))
-    return report
+    return _verify_reduction(
+        "theorem3", graphs, params, lambda g: ((f"e=({u},{v})", edge_reduction_rhs(g, u, v)) for u, v in g.edges)
+    )
 
 
-def verify_conditioned_path_recurrence(n_min: int = 5, n_max: int = 14) -> VerificationReport:
+def verify_conditioned_path_recurrence(n_max: int = 14) -> VerificationReport:
     """Check the end-anchored conditioned recurrence on paths.
 
     With D(k) = D_t(P_k){last vertex in W}, conditioned brute force on both
     sides: D(n) = x*D(n-1) + x^2*D(n-3) + x^2*D(n-4) for n >= 5. Each D(k)
     is enumerated once and shared by the orders that use it.
     """
-    if n_min < 5:
-        raise ValueError("the conditioned path recurrence needs n >= 5")
+    n_min = 5  # the first order whose four earlier terms are all paths
     report = VerificationReport("claim1", {"n_min": n_min, "n_max": n_max})
 
     @cache

@@ -11,9 +11,10 @@ def warm_kernels():
 
     P_4 takes the kernel's whole-table path and builds its cached bitsets.
     P_{_WHOLE_MAX + 2} is wide enough for the split path, so it pays numpy's
-    first-call costs, np.unique's included, and builds the cached bitset
-    layout of its low half here, not in the first kernel test. ``gamma_t``
-    is the same enumeration, so it needs no warm-up of its own.
+    first-call costs, those of the argsort that groups the high covers
+    included, and builds the cached bitset layout of its low half here, not
+    in the first kernel test. ``gamma_t`` is the same enumeration, so it
+    needs no warm-up of its own.
     """
     brute_force_tdp(path_graph(4))
     brute_force_tdp(path_graph(kernels._WHOLE_MAX + 2))

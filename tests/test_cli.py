@@ -637,6 +637,42 @@ n 20
 14 16
 """
 
+# A fixed tree on 32 vertices (a Pruefer-decoded one) for `poly --in`, which
+# `auto` sends to the tree engine.
+TREE_32 = """n 32
+0 8
+0 23
+0 31
+1 16
+1 28
+1 31
+2 7
+2 17
+2 30
+3 22
+3 30
+4 11
+4 13
+5 21
+5 29
+6 19
+6 20
+7 10
+7 21
+8 25
+9 13
+9 19
+10 28
+12 18
+12 26
+12 28
+14 15
+15 31
+18 27
+20 21
+23 24
+"""
+
 # sha256 of the stdout of requests built on many small oracle calls, graph
 # builds and polynomial sums, frozen before the kernel's pure-int path, the
 # oracle's early zero and the unchecked graph derivations, (the last three)
@@ -644,8 +680,10 @@ n 20
 # before graphs kept only their adjacency, so none of these changes a byte;
 # the closedform entries before its path and cycle checks became one loop;
 # the family, recurrence and "--n-max 300" minus-one entries before family
-# and the suites took their path and cycle terms from one recurrence walk.
-# "{graph20}" names a file holding GRAPH_20.
+# and the suites took their path and cycle terms from one recurrence walk;
+# the "{tree32}", "--n 300" and "--n 200" entries before eval's values and
+# the reports took one encoder. "{graph20}" and "{tree32}" name files holding
+# GRAPH_20 and TREE_32.
 SMALL_CALL_DIGESTS = {
     "verify --suite closedform":
         "e40899421e08e0850ad1a652855cf94afa543ef65da5892c868a70fcdd862bb4",
@@ -685,14 +723,21 @@ SMALL_CALL_DIGESTS = {
         "1382cebb67afbfb222fd29cb35dae83aa95534e289a6b248fe82b165d20672dc",
     "verify --suite minus-one --n-max 300 --trials 0":
         "d726bf1a13a00932943340d7926417e6fd1220dc290c390758839c3e72a74731",
+    "poly --in {tree32}":
+        "f9f86e32f2a771dfadba42b2b30d439cc9f8829fc56db0520cc9c24d316d0bbb",
+    "poly --family path --n 300":
+        "39082842bbb552ea33df8430a9d97906e4db00758a8c2b63502089c0f3f2db00",
+    "eval --family cycle --n 200 --at -1 2 0.5 1+2i":
+        "a73f66ff30c66fe8b192126a0b73cd7bf19d6955d745ee116b9786ba0f58b173",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(SMALL_CALL_DIGESTS))
 def test_small_call_suites_bytes_frozen(capsys, tmp_path, argv):
-    graph20 = tmp_path / "graph20.txt"
+    graph20, tree32 = tmp_path / "graph20.txt", tmp_path / "tree32.txt"
     graph20.write_text(GRAPH_20)
-    code, out, err = run_cli(capsys, argv.format(graph20=graph20).split())
+    tree32.write_text(TREE_32)
+    code, out, err = run_cli(capsys, argv.format(graph20=graph20, tree32=tree32).split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SMALL_CALL_DIGESTS[argv]
 
@@ -968,6 +1013,23 @@ def test_unparseable_file_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["poly", "--in", str(f)])
     assert code == 2
     assert "line 1" in err
+
+
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path):
+    # Windows editors save UTF-8 with a byte-order mark; only a leading one
+    # is an encoding mark, so one anywhere else stays a parse error
+    plain, marked, late = tmp_path / "plain.txt", tmp_path / "marked.txt", tmp_path / "late.txt"
+    text = "n 3\n0 1\n1 2\n2 0\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    late.write_text("n 3\n\ufeff0 1\n1 2\n2 0\n", encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for flags in (["--in"], ["--family", "two-corona", "--base"]):
+        expected = run_cli(capsys, ["poly", *flags, str(plain)])
+        assert expected[0] == 0
+        assert run_cli(capsys, ["poly", *flags, str(marked)]) == expected
+        code, out, err = run_cli(capsys, ["poly", *flags, str(late)])
+        assert (code, out) == (2, "") and err.startswith("error: line 2: ")
 
 
 def test_missing_file_exit_2(capsys, tmp_path):

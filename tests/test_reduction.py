@@ -377,12 +377,13 @@ def test_edge_suite_on_triangle():
 
 
 def test_suites_skip_disconnected_instances():
-    report = verify_vertex_reduction([disjoint_union(path_graph(2), path_graph(2))])
-    assert report.instances == 0 and report.passed
+    for suite in (verify_vertex_reduction, verify_edge_reduction):
+        report = suite([disjoint_union(path_graph(2), path_graph(2))])
+        assert report.instances == 0 and report.passed
 
 
 def test_conditioned_path_recurrence_suite():
-    report = verify_conditioned_path_recurrence(n_min=5, n_max=9)
+    report = verify_conditioned_path_recurrence(n_max=9)
     assert report.suite == "claim1"
     assert report.instances == 5
     assert report.passed

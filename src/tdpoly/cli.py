@@ -20,14 +20,15 @@ flag its report names in `checks` holds.
 
 Exit codes: 0 success, 1 a verify/scan suite found failures, 2 usage or
 parse error (an evaluation beyond the float range included), 3 enumeration
-budget exceeded or out of memory, 4 internal inconsistency or any other
-unexpected error.
+or output budget exceeded or out of memory, 4 internal inconsistency or any
+other unexpected error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -77,7 +78,7 @@ class _Suite(NamedTuple):
     n: int | None  # default order; None where the order flag is required
     trials: int  # default trials
     smallest: int  # a smaller order would check nothing and pass vacuously
-    largest: int | None = None  # a larger one is refused before any work
+    largest: int = MAX_ENUM_ORDER  # a larger one is refused before any work
     fewest_trials: int = 0  # fewer --trials would check nothing too
     most_trials: int | None = None  # more --trials are refused before any work (exit 3)
     # what a larger order raises: an enumeration budget (exit 3), or a
@@ -92,15 +93,16 @@ def _params(n: int, trials: int, seed: int) -> dict:
 # subcommand -> suite -> how to run it. The runners look their suite
 # functions up at call time, so a rebinding of those names (as a tracer does)
 # reaches them. claim1 and recurrence run the oracle at every order up to
-# theirs; prop1, theorem1 and theorem3 draw their orders at random, so
-# whether they pass the oracle's cap depends on the draw, and they have none.
+# theirs; prop1, theorem1, theorem3, degree2 and gamma-bounds draw orders up
+# to theirs and send each graph whole to the oracle, so all seven take the
+# oracle's cap as their largest order.
 _SUITES: dict[str, dict[str, _Suite]] = {
     "verify": {
         "theorem1": _Suite(lambda n, t, s: verify_vertex_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2),
         "theorem3": _Suite(lambda n, t, s: verify_edge_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2),
-        "claim1": _Suite(lambda n, t, s: verify_conditioned_path_recurrence(n_max=n), 14, 0, 5, MAX_ENUM_ORDER),
+        "claim1": _Suite(lambda n, t, s: verify_conditioned_path_recurrence(n_max=n), 14, 0, 5),
         "prop1": _Suite(lambda n, t, s: verify_basic_identities(_prop1_corpus(t, n, s), _params(n, t, s)), 10, 50, 2),
-        "recurrence": _Suite(lambda n, t, s: verify_recurrences(n_max=n), 18, 0, 1, MAX_ENUM_ORDER),
+        "recurrence": _Suite(lambda n, t, s: verify_recurrences(n_max=n), 18, 0, 1),
         "closedform": _Suite(
             lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1, CLOSED_FORM_N_MAX, past_largest=ValueError
         ),
@@ -119,12 +121,33 @@ _SUITES: dict[str, dict[str, _Suite]] = {
     },
 }
 
-# family name -> (maker, smallest order); makers are looked up at call time too
+# family name -> (maker, smallest order, classes at order n); makers are looked up at call time too
 _FAMILIES = {
-    "path": (lambda n: path_graph(n), 1),
-    "cycle": (lambda n: cycle_graph(n), 3),
-    "star": (lambda n: star_graph(n), 2),
+    "path": (lambda n: path_graph(n), 1, lambda n: ("forest", "path")),
+    "cycle": (lambda n: cycle_graph(n), 3, lambda n: ("cycle",)),
+    "star": (lambda n: star_graph(n), 2, lambda n: ("forest", "path") if n <= 3 else ("forest",)),
 }
+
+# method -> (class, label, engine) rows; the first whose class holds (None: every graph) wins
+_DISPATCH = {
+    "auto": (("forest", "tree", "tree"), ("cycle", "recurrence", "cycle"), (None, "brute", "brute")),
+    "brute": ((None, "brute", "brute"),),
+    "tree": ((None, "tree", "tree"),),
+    "recurrence": (("path", "recurrence", "path"), ("cycle", "recurrence", "cycle")),
+}
+
+# how a graph read from a file or built as a two-corona answers each class
+_CLASS_TESTS = {"forest": Graph.is_forest, "path": is_path_shaped, "cycle": is_cycle_shaped}
+
+# a request may print this many digits, summed over its members: a graph of
+# order m prints m + 1 coefficients, each below 2^m
+_MAX_DIGITS = 3_000_000
+
+
+class _Member(NamedTuple):  # one graph to solve
+    order: int
+    is_in: Callable[[str], bool]  # class name -> whether the graph is in that class
+    graph: Callable[[], Graph]  # a named family's is built only when an engine reads it
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -218,20 +241,20 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- graph sources -------------------------------------------------------------
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
+def _load_member(args: argparse.Namespace) -> _Member:
     if args.infile is not None and args.family is not None:
         raise ValueError("give either --in or --family, not both")
     if args.infile is not None:
         if args.n is not None or args.base is not None:
             raise ValueError("--n/--base only apply to --family")
-        return _read_edge_list(args.infile)
+        return _graph_member(_read_edge_list(args.infile))
     if args.family is None:
         raise ValueError("give a graph via --in FILE or --family NAME")
     if args.family == "two-corona":
         if (args.base is None) == (args.n is None):
             raise ValueError("two-corona takes exactly one of --base FILE or --n N")
         if args.base is not None:
-            return two_corona(_read_edge_list(args.base))
+            return _graph_member(two_corona(_read_edge_list(args.base)))
     elif args.base is not None:
         raise ValueError("--base only applies to --family two-corona")
     elif args.n is None:
@@ -246,54 +269,55 @@ def _read_edge_list(path: str) -> Graph:
         return parse_edge_list(fh.read().decode("utf-8-sig"))
 
 
-def _family_member(family: str, n: int) -> Graph:
+def _graph_member(g: Graph) -> _Member:
+    return _Member(g.order, lambda c: _CLASS_TESTS[c](g), lambda: g)
+
+
+def _family_member(family: str, n: int) -> _Member:
     """The member of a named family at order parameter n; two-corona's is
-    the 2-corona of P_n. An n below the family's smallest order (its base
-    path's, for two-corona) is a usage error."""
-    maker, lower = _FAMILIES["path" if family == "two-corona" else family]
+    the 2-corona of P_n, tested on its graph. An n below the family's
+    smallest order (its base path's, for two-corona) is a usage error."""
+    maker, lower, classes = _FAMILIES["path" if family == "two-corona" else family]
     if n < lower:
         raise ValueError(f"family {family} starts at n = {lower}")
-    return two_corona(maker(n)) if family == "two-corona" else maker(n)
+    if family == "two-corona":
+        return _graph_member(two_corona(maker(n)))
+    return _Member(n, classes(n).__contains__, lambda: maker(n))
 
 
-def _dispatch(g: Graph, method: str) -> tuple[str, str]:
-    """Resolve the method selector to (method reported, engine): tree,
-    brute, or the path or cycle recurrence."""
-    if method == "auto":
-        if g.is_forest():
-            return "tree", "tree"
-        if is_cycle_shaped(g):
-            return "recurrence", "cycle"
-        return "brute", "brute"
-    if method in ("brute", "tree"):
-        return method, method
-    if method == "recurrence":
-        if is_path_shaped(g):
-            return method, "path"
-        if is_cycle_shaped(g):
-            return method, "cycle"
-        raise ValueError("recurrence method applies only to path- or cycle-shaped graphs")
-    raise ValueError(f"unknown method {method!r}")
+def _dispatch(member: _Member, method: str) -> tuple[str, str]:
+    """Resolve the method selector to (method reported, engine); under auto
+    the method reported is the input's class: tree, recurrence or brute."""
+    for cls, label, engine in _DISPATCH[method]:
+        if cls is None or member.is_in(cls):
+            return label, engine
+    raise ValueError("recurrence method applies only to path- or cycle-shaped graphs")
 
 
-def _solve(graphs: Iterable[Graph], method: str) -> Iterator[tuple[IntPoly, dict]]:
-    """(D_t, output envelope) of each graph in turn.
-
-    A family's members come in consecutive orders, and those the recurrence
-    answers are all paths or all cycles, so they take the terms of one walk.
-    """
+def _solve(members: Iterable[_Member], method: str) -> Iterator[tuple[IntPoly, dict]]:
+    """(D_t, output envelope) of each member in turn, once the digits all of
+    them may print are known to fit _MAX_DIGITS. A family's members come in
+    consecutive orders, and those the recurrence answers are all paths or all
+    cycles, so they take the terms of one walk; only the tree and brute
+    engines read a member's graph."""
+    admitted, digits = [], 0
+    for m in members:
+        digits += (m.order + 1) * (math.floor(m.order * math.log10(2)) + 1)
+        if digits > _MAX_DIGITS:
+            raise BudgetError(f"output is capped at {_MAX_DIGITS} predicted digits, got {digits} by n = {m.order}")
+        admitted.append(m)
     walk = None
-    for g in graphs:
-        used, engine = _dispatch(g, method)
+    for m in admitted:
+        used, engine = _dispatch(m, method)
         if engine == "tree":
-            poly = tree_tdp(g)
+            poly = tree_tdp(m.graph())
         elif engine == "brute":
-            poly = brute_force_tdp(g)
+            poly = brute_force_tdp(m.graph())
         else:
             if walk is None:
-                walk = _recurrence_terms(engine, g.order)
+                walk = _recurrence_terms(engine, m.order)
             poly = next(walk)
-        yield poly, {"n": g.order, "method": used, "gamma_t": poly.min_degree(), "coeffs": poly.to_coeff_strings()}
+        yield poly, {"n": m.order, "method": used, "gamma_t": poly.min_degree(), "coeffs": poly.to_coeff_strings()}
 
 
 # -- evaluation points ------------------------------------------------------------
@@ -326,7 +350,7 @@ def parse_point(text: str) -> int | float | complex:
 def _cmd_poly(args: argparse.Namespace) -> int:
     """poly, and eval when --at gives points: the one-graph case of family."""
     start = time.perf_counter()
-    poly, env = next(_solve([_load_graph(args)], args.method))
+    poly, env = next(_solve([_load_member(args)], args.method))
     if args.at is not None:
         env["evaluations"] = {token: _jsonable(poly.evaluate(parse_point(token))) for token in args.at}
     if args.timing:
@@ -387,7 +411,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 raise ValueError(f"{name} draws nothing at random, so it takes no {flag}")
     if n < suite.smallest:
         raise ValueError(f"{name} starts at n = {suite.smallest}; got {args.order_flag} {n}")
-    if suite.largest is not None and n > suite.largest:
+    if n > suite.largest:
         raise suite.past_largest(f"{name} is capped at n <= {suite.largest}, got n = {n}")
     if suite.most_trials is not None and trials > suite.most_trials:
         raise BudgetError(f"{name} is capped at --trials <= {suite.most_trials}, got --trials {trials}")

@@ -519,6 +519,40 @@ def test_oracle_suites_refuse_orders_past_the_cap(capsys, monkeypatch, suite, ru
     assert err == f"error: verify --suite {suite} is capped at n <= 26, got n = 27\n"
 
 
+# the suites that draw their orders at random: the functions that draw the
+# corpus (where one is drawn before the runner) and run it
+RANDOM_ORDER_SUITES = {
+    ("verify", "theorem1"): ("_verify_corpus", "verify_vertex_reduction"),
+    ("verify", "theorem3"): ("_verify_corpus", "verify_edge_reduction"),
+    ("verify", "prop1"): ("_prop1_corpus", "verify_basic_identities"),
+    ("scan", "degree2"): ("scan_degree2",),
+    ("scan", "gamma-bounds"): ("gamma_scan_corpus", "scan_gamma_bounds"),
+}
+
+
+@pytest.mark.parametrize(("sub", "suite"), sorted(RANDOM_ORDER_SUITES))
+def test_random_order_suites_refuse_orders_past_the_cap(capsys, monkeypatch, sub, suite):
+    # each sends every graph it draws whole to the oracle, so n = 27 would
+    # pass the oracle's cap whenever the draw reached it; the refusal comes
+    # before the corpus is drawn
+    flag = "--n" if sub == "scan" else "--n-max"
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return VerificationReport(suite)
+
+    for name in RANDOM_ORDER_SUITES[(sub, suite)]:
+        monkeypatch.setattr(cli, name, record)
+    code, out, err = run_cli(capsys, [sub, "--suite", suite, flag, "26"])
+    assert code == 0 and err == "" and calls[0][1] == 26  # (trials, order, seed)
+    for name in RANDOM_ORDER_SUITES[(sub, suite)]:
+        monkeypatch.setattr(cli, name, refuse_to_run)
+    code, out, err = run_cli(capsys, [sub, "--suite", suite, flag, "27"])
+    assert code == 3 and out == ""
+    assert err == f"error: {sub} --suite {suite} is capped at n <= 26, got n = 27\n"
+
+
 def test_closedform_refuses_orders_past_the_float_range(capsys, monkeypatch):
     # running the suite to n = 706 takes about 1 s, so the runner is
     # replaced; the closed forms' own boundary is tested in test_closedform
@@ -682,8 +716,9 @@ TREE_32 = """n 32
 # the family, recurrence and "--n-max 300" minus-one entries before family
 # and the suites took their path and cycle terms from one recurrence walk;
 # the "{tree32}", "--n 300" and "--n 200" entries before eval's values and
-# the reports took one encoder. "{graph20}" and "{tree32}" name files holding
-# GRAPH_20 and TREE_32.
+# the reports took one encoder; the path and star tables, the brute cycle
+# table and the text cycle before named families were dispatched by their
+# class. "{graph20}" and "{tree32}" name files holding GRAPH_20 and TREE_32.
 SMALL_CALL_DIGESTS = {
     "verify --suite closedform":
         "e40899421e08e0850ad1a652855cf94afa543ef65da5892c868a70fcdd862bb4",
@@ -729,6 +764,14 @@ SMALL_CALL_DIGESTS = {
         "39082842bbb552ea33df8430a9d97906e4db00758a8c2b63502089c0f3f2db00",
     "eval --family cycle --n 200 --at -1 2 0.5 1+2i":
         "a73f66ff30c66fe8b192126a0b73cd7bf19d6955d745ee116b9786ba0f58b173",
+    "family --family path --n-min 1 --n-max 40":
+        "223494257075aef9c2835c6ae8b1ccc1d35569594bd22d5996e9e1056ed7b638",
+    "family --family star --n-min 2 --n-max 30":
+        "c72b29421cefdcfdccf41223c4984db12a71e546352a9f83e00fe64f70b53f2f",
+    "family --family cycle --n-min 3 --n-max 12 --method brute":
+        "21e69e85ce3fa6b815d0b20b3a1dd6c810f1874070c46184c54b57be3eda5aa0",
+    "poly --family cycle --n 300 --format text":
+        "ec5bcf25a0ea93299d733e01ce2474a0db4353f1e9654571e5c072ad966083e9",
 }
 
 
@@ -757,6 +800,51 @@ def test_family_errors_stop_at_the_same_member(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == "error: recurrence method applies only to path- or cycle-shaped graphs\n"
     assert dispatched == [2, 3, 4]
+
+
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a member the walk answers needs no graph")
+
+
+def test_walk_answered_members_build_no_graph(capsys, monkeypatch):
+    # a named family's class is known from its name and order, so a member
+    # the recurrence answers costs its walk term and nothing more; each
+    # answer, and the star's error at S_4, is the one given with graphs
+    requests = [
+        "family --family cycle --n-min 3 --n-max 40",
+        "poly --family cycle --n 30",
+        "eval --family cycle --n 30 --at -1 2",
+        "family --family path --n-min 1 --n-max 30 --method recurrence",
+        "poly --family path --n 9 --method recurrence",
+        "family --family star --n-min 2 --n-max 3 --method recurrence",
+        "family --family star --n-min 2 --n-max 5 --method recurrence",
+        "poly --family star --n 3 --method recurrence",
+    ]
+    with_graphs = [run_cli(capsys, argv.split()) for argv in requests]
+    for name in ("path_graph", "cycle_graph", "star_graph"):
+        monkeypatch.setattr(cli, name, refuse_to_build)
+    assert [run_cli(capsys, argv.split()) for argv in requests] == with_graphs
+    assert [code for code, _, _ in with_graphs] == [0, 0, 0, 0, 0, 0, 2, 0]
+
+
+@pytest.mark.parametrize("method", ["auto", "brute", "tree", "recurrence"])
+@pytest.mark.parametrize("family", ["path", "cycle", "star"])
+def test_family_items_are_the_poly_outputs(capsys, family, method):
+    # a family table is its members' poly answers in turn; where one member
+    # fails, the table fails with that member's error and prints nothing
+    smallest = FAMILY_SMALLEST[family]
+    alone = [
+        run_cli(capsys, ["poly", "--family", family, "--n", str(n), "--method", method])
+        for n in range(smallest, 10)
+    ]
+    argv = ["family", "--family", family, "--n-min", str(smallest), "--n-max", "9", "--method", method]
+    code, out, err = run_cli(capsys, argv)
+    failed = [(c, "", e) for c, _, e in alone if c != 0]
+    if failed:
+        assert (code, out, err) == failed[0]
+    else:
+        assert code == 0 and err == ""
+        assert json.loads(out)["items"] == [json.loads(o) for _, o, _ in alone]
 
 
 def count_walk_additions(monkeypatch):
@@ -795,6 +883,32 @@ def test_family_checks_every_term_it_prints(capsys, monkeypatch):
     monkeypatch.setattr(reduction, "ensure_valid_tdp", lambda p, order: checked.append(order) or honest(p, order))
     code, _, _ = run_cli(capsys, ["family", "--family", "cycle", "--n-min", "40", "--n-max", "60"])
     assert code == 0 and checked == list(range(40, 61))
+
+
+def test_requests_past_the_digit_budget_exit_3(capsys, monkeypatch):
+    # a member of order m prints at most (m + 1)(floor(m log10 2) + 1)
+    # digits, and a request may print 3 000 000: one graph of order 3155
+    # (2 998 200; 3156 would take 3 002 307), or the cycles from 3 up to 308
+    # (2 984 284; up to 309, 3 013 424). The engine of a poly request is
+    # replaced, since a path of 3155 takes seconds to answer
+    orders = []
+    monkeypatch.setattr(cli, "tree_tdp", lambda g: orders.append(g.order) or IntPoly.zero())
+    code, out, err = run_cli(capsys, ["poly", "--family", "path", "--n", "3155"])
+    assert code == 0 and err == "" and orders == [3155]
+    code, out, err = run_cli(capsys, ["family", "--family", "cycle", "--n-min", "3", "--n-max", "308"])
+    assert code == 0 and err == "" and json.loads(out)["items"][-1]["n"] == 308
+    monkeypatch.setattr(cli, "tree_tdp", refuse_to_run)
+    monkeypatch.setattr(cli, "_recurrence_terms", refuse_to_run)
+    for argv, digits, n in (
+        ("poly --family path --n 3156", 3002307, 3156),
+        ("eval --family cycle --n 3156 --at 2", 3002307, 3156),
+        ("poly --family path --n 1000000", 301030301030, 1000000),
+        ("family --family cycle --n-min 3 --n-max 309", 3013424, 309),
+        ("family --family path --n-min 1 --n-max 50000", 3013429, 309),
+    ):
+        code, out, err = run_cli(capsys, argv.split())
+        assert code == 3 and out == "", argv
+        assert err == f"error: output is capped at 3000000 predicted digits, got {digits} by n = {n}\n", argv
 
 
 def test_minus_one_refuses_orders_past_the_cap(capsys, monkeypatch):

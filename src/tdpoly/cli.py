@@ -280,8 +280,9 @@ def _family_member(family: str, n: int) -> _Member:
     maker, lower, classes = _FAMILIES["path" if family == "two-corona" else family]
     if n < lower:
         raise ValueError(f"family {family} starts at n = {lower}")
-    if family == "two-corona":
-        return _graph_member(two_corona(maker(n)))
+    if family == "two-corona":  # of order 3n, built on the first class test or engine read
+        graph = cache(lambda: two_corona(maker(n)))
+        return _Member(3 * n, lambda c: _CLASS_TESTS[c](graph()), graph)
     return _Member(n, classes(n).__contains__, lambda: maker(n))
 
 

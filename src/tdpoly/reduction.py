@@ -8,11 +8,13 @@ recurrence and the forest dynamic programme are the fast paths that fall
 out of those identities. Each takes its ring as a parameter, since
 evaluation at a point is a ring homomorphism. The recurrence is one walk
 from four seeds over add and multiply-by-x, so a table up to order N costs
-one walk, O(N^2) coefficient additions. The forest engine is one bottom-up
-pass per component over four per-vertex states (out of W and dominated by
-a child, out of W in any case, in W and dominated, in W in any case) over
-add, mul and the leaf's states. Both run on coefficient lists (`path_tdp`,
-`cycle_tdp`, `tree_tdp`) and on ints at x = -1 (the minus-one suite).
+one walk, O(N^2) coefficient additions; on coefficient lists each term is
+kept as its nonzero band, degrees gamma_t to n. The forest engine is one
+bottom-up pass per component over four per-vertex states (out of W and
+dominated by a child, out of W in any case, in W and dominated, in W in any
+case) over add, mul and the leaf's states. Both run on coefficient lists
+(`path_tdp`, `cycle_tdp`, `tree_tdp`) and on ints at x = -1 (the minus-one
+suite).
 """
 
 from __future__ import annotations
@@ -124,13 +126,27 @@ _SEEDS = {
 }
 
 
+def _add_bands(a: tuple, b: tuple) -> tuple:
+    """Sum of two banded terms (lowest degree, coefficients from it up): the
+    band that starts higher goes onto the other's overlap by `_add_coeffs`."""
+    if not (a[1] and b[1]):
+        return a if a[1] else b
+    (low, ca), (high, cb) = (a, b) if a[0] <= b[0] else (b, a)
+    gap = high - low
+    return low, [*ca[:gap], *[0] * (gap - len(ca)), *_add_coeffs(ca[gap:], cb)]
+
+
 def _recurrence_terms(family: str, n: int) -> Iterator[IntPoly]:
-    """D_t of the family's members of order n, n + 1, ...: one walk on
-    coefficient lists, each term checked as it is returned."""
+    """D_t of the family's members of order n, n + 1, ...: one walk on banded
+    terms, so that a product by x moves the lowest degree and copies nothing
+    and an addition covers the nonzero degrees only; each term is checked as
+    it is returned."""
     seeds, first = _SEEDS[family]
-    walk = _order4_walk(seeds, _add_coeffs, lambda a: [0, *a])
-    for order, coeffs in enumerate(islice(walk, n - first, None), n):
-        yield ensure_valid_tdp(IntPoly._of(list(coeffs)), order)
+    lows = [next((d for d, c in enumerate(s) if c), 0) for s in seeds]
+    bands = tuple((low, s[low:]) for low, s in zip(lows, seeds))
+    walk = _order4_walk(bands, _add_bands, lambda t: (t[0] + 1, t[1]))
+    for order, (low, coeffs) in enumerate(islice(walk, n - first, None), n):
+        yield ensure_valid_tdp(IntPoly._of([*[0] * low, *coeffs]), order)
 
 
 def path_tdp(n: int) -> IntPoly:

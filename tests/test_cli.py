@@ -316,6 +316,12 @@ def test_eval_beyond_float_range_exit_2(capsys, argv):
     assert err.count("\n") == 1 and "beyond the float range" in err
 
 
+def test_eval_cycle_800_at_complex_point_exit_2(capsys):
+    # forest-recurrence's eval requests at n >= 800 fail here by design
+    code, out, err = run_cli(capsys, ["eval", "--family", "cycle", "--n", "800", "--at", "1+2i"])
+    assert (code, out, err) == (2, "", "error: value at (1+2j) is beyond the float range\n")
+
+
 def test_eval_negative_points_in_every_form(capsys):
     # argparse alone takes "-1e3", "-1+2i" and "-2i" for options
     points = ["1", "-1+2i", "-1e3", "-2i", "-0.5", "-4"]
@@ -718,7 +724,10 @@ TREE_32 = """n 32
 # the "{tree32}", "--n 300" and "--n 200" entries before eval's values and
 # the reports took one encoder; the path and star tables, the brute cycle
 # table and the text cycle before named families were dispatched by their
-# class. "{graph20}" and "{tree32}" name files holding GRAPH_20 and TREE_32.
+# class; the cycle eval at 800, the cycle at 1001 and the two-corona before
+# the walk added only each term's nonzero band and the two-corona member was
+# built lazily. "{graph20}" and "{tree32}" name files holding GRAPH_20 and
+# TREE_32.
 SMALL_CALL_DIGESTS = {
     "verify --suite closedform":
         "e40899421e08e0850ad1a652855cf94afa543ef65da5892c868a70fcdd862bb4",
@@ -772,6 +781,12 @@ SMALL_CALL_DIGESTS = {
         "21e69e85ce3fa6b815d0b20b3a1dd6c810f1874070c46184c54b57be3eda5aa0",
     "poly --family cycle --n 300 --format text":
         "ec5bcf25a0ea93299d733e01ce2474a0db4353f1e9654571e5c072ad966083e9",
+    "eval --family cycle --n 800 --at -1 2 0.5":
+        "d6dc4a2f41d11f4f7588192dbbd598a51551aa6a5c743541b811388887684873",
+    "poly --family cycle --n 1001":
+        "3c7696bfd230edc784334bb0ffd37e0bbe86e59f448db84268d65f225642c2d1",
+    "poly --family two-corona --n 5":
+        "c1c285034ab6cac1217c2b32809a0f58f296887e63c6c42f18691d86bb1ca46d",
 }
 
 
@@ -909,6 +924,16 @@ def test_requests_past_the_digit_budget_exit_3(capsys, monkeypatch):
         code, out, err = run_cli(capsys, argv.split())
         assert code == 3 and out == "", argv
         assert err == f"error: output is capped at 3000000 predicted digits, got {digits} by n = {n}\n", argv
+
+
+def test_two_corona_past_the_digit_budget_builds_no_graph(capsys, monkeypatch):
+    # the 2-corona of P_n has order 3n, known from the name: at n = 10^6 the
+    # budget refuses it before the graph of 3 000 000 vertices is built
+    monkeypatch.setattr(cli, "two_corona", refuse_to_run)
+    for sub in (["poly"], ["eval", "--at", "2"]):
+        code, out, err = run_cli(capsys, [*sub, "--family", "two-corona", "--n", "1000000"])
+        assert code == 3 and out == "", sub
+        assert err == "error: output is capped at 3000000 predicted digits, got 2709270903090 by n = 3000000\n", sub
 
 
 def test_minus_one_refuses_orders_past_the_cap(capsys, monkeypatch):

@@ -76,9 +76,11 @@ def test_parse_error_names_the_line():
         parse_edge_list("n 3\n0 0")
 
 
-# The parser is the boundary for edge-list text: its checks, and their
-# messages, stay the same although it builds the graph without the
-# constructor's checks. The messages are written out here by hand.
+# The parser is the boundary for edge-list text: it checks the text and
+# words each error itself, then builds the graph through the public
+# constructor, whose own checks the parsed edges always pass (the benchmark
+# harness times that constructor on every `poly --in`). The messages are
+# written out here by hand.
 @pytest.mark.parametrize(
     "text, message",
     [

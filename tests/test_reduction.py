@@ -19,6 +19,7 @@ from tdpoly.graph import (
 from tdpoly.oracle import brute_force_tdp, gamma_t
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import (
+    _add_bands,
     _fold_forest,
     _order4_walk,
     _recurrence_terms,
@@ -216,6 +217,27 @@ def test_walk_makes_two_ring_additions_per_term():
     assert list(islice(walk, 4)) == [0, 1, 1, 0] and adds == []  # the seeds cost nothing
     next(islice(walk, 99, None))
     assert len(adds) == 2 * 100
+
+
+@pytest.mark.parametrize(
+    ("a", "b", "total"),
+    [
+        ((2, [1, 3]), (2, [5]), (2, [6, 3])),  # same lowest degree
+        ((3, [1, 1]), (1, [2, 2, 2]), (1, [2, 2, 3, 1])),  # overlapping
+        ((0, [1]), (3, [4, 5]), (0, [1, 0, 0, 4, 5])),  # a gap of two zeros
+        ((5, []), (1, [7]), (1, [7])),  # zero adds nothing
+        ((1, [7]), (5, []), (1, [7])),
+    ],
+)
+def test_banded_terms_add_as_coefficient_lists(a, b, total):
+    # a band (lowest degree, coefficients from it up) stands for the list
+    # with that many zeros in front
+    def full(band):
+        return IntPoly([0] * band[0] + list(band[1]))
+
+    got = _add_bands(a, b)
+    assert (got[0], list(got[1])) == total
+    assert full(got) == full(a) + full(b)
 
 
 def test_every_returned_term_is_checked_once(monkeypatch):

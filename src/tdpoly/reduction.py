@@ -81,9 +81,8 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
     keep the set as is, so the cut-away vertices other than the endpoint
     still need neighbors in W -- hence the extra must-meet sets. Without
     those sets the two unit terms overcount: P_4 at its middle edge is the
-    smallest counterexample. A term whose anchor vertex did not survive is
-    0 (the set cannot contain a vertex that is not there); the differential
-    suite is what validates these conventions.
+    smallest counterexample. The differential suite is what validates these
+    conventions.
     """
     if not g.is_connected():
         raise ValueError("edge reduction is stated for connected graphs")
@@ -94,8 +93,6 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
     rhs = rhs + _X2 * indicator_tdp(g.without_closed_neighborhoods([u, v]))
     for anchor, removed in ((v, u), (u, v)):
         remainder = minus_e.without_closed_neighborhoods([removed])
-        if anchor not in remainder:
-            continue
         rhs = rhs + _X * brute_force_tdp(remainder, required=[anchor])
         alive = frozenset(remainder.vertices)
         dominators = [minus_e.neighbors(z) & alive for z in minus_e.neighbors(removed)]

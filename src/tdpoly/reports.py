@@ -131,13 +131,12 @@ def _jsonable(value: Any) -> Any:
 
 
 def _csv_cell(value: Any) -> str:
+    value = _jsonable(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return ""
-    if isinstance(value, IntPoly):
-        return ";".join(value.to_coeff_strings())
-    if isinstance(value, (list, tuple)):
-        return ";".join(str(v) for v in value)
+    if isinstance(value, list):
+        return ";".join(map(str, value))
     # keep one physical line per record: edge-list cells carry newlines
     return str(value).replace("\n", "; ")

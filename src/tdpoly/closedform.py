@@ -130,15 +130,22 @@ def star_tdp(n: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def _start_at_minus_one(k: int) -> tuple:
+    """(A, B, C, D) at x = -1 of a vertex after its k leaf children: the
+    leaf's (0, 1, 0, -1), and for k >= 1 x((1+x)^k - 1) = 1 and x(1+x)^k = 0."""
+    return (0, 0, 1, 0) if k else (0, 1, 0, -1)
+
+
 def forest_at_minus_one(g: Graph) -> int:
     """Exact D_t(F, -1), which is 0 or 1 for every forest.
 
     The forest fold of ``tree_tdp`` runs on ints at x = -1, so the
-    polynomial is never expanded: O(n) integer operations. Raises
-    ValueError on a cycle. The value is returned unchecked; the minus-one
-    suite's forest rows are what compare it against {0, 1}.
+    polynomial is never expanded: O(n) integer operations, and none for
+    a vertex's leaves. Raises ValueError on a cycle. The value is returned
+    unchecked; the minus-one suite's forest rows are what compare it against
+    {0, 1}.
     """
-    return _fold_forest(g, operator.add, operator.mul, (0, 1, 0, -1))
+    return _fold_forest(g, operator.add, operator.mul, _start_at_minus_one)
 
 
 # -- verification suites ------------------------------------------------------

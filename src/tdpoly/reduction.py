@@ -12,7 +12,9 @@ one walk, O(N^2) coefficient additions; on coefficient lists each term is
 kept as its nonzero band, degrees gamma_t to n. The forest engine is one
 bottom-up pass per component over four per-vertex states (out of W and
 dominated by a child, out of W in any case, in W and dominated, in W in any
-case) over add, mul and the leaf's states. Both run on coefficient lists
+case) over add, mul and start(k), the states of a vertex after its k leaf
+children: leaves are never folded one by one, and a parent with no child
+yet takes its first by two products by x. Both run on coefficient lists
 (`path_tdp`, `cycle_tdp`, `tree_tdp`) and on ints at x = -1 (the minus-one
 suite).
 """
@@ -160,27 +162,33 @@ def cycle_tdp(n: int) -> IntPoly:
     return next(_recurrence_terms("cycle", n))
 
 
-def _fold_forest(g: Graph, add: Callable, mul: Callable, leaf: tuple):
+def _fold_forest(g: Graph, add: Callable, mul: Callable, start: Callable):
     """D_t(F) of a forest in any commutative ring, by one bottom-up pass per
     component.
 
-    The ring is given by `add`, `mul` and `leaf` = (0, 1, 0, x), the states
-    of a vertex before any child is folded in. Each component is rooted at
-    its smallest label and its vertices are ordered breadth first. Every
-    vertex v keeps four values counting the sets W in its subtree that
-    dominate every other vertex of the subtree:
+    The ring is given by `add`, `mul` and `start`: start(k) is the states of
+    a vertex after its k leaf children, start(0) = (0, 1, 0, x) before any
+    child. Each component is rooted at its smallest label and its other
+    vertices with a child are ordered breadth first. Every vertex v keeps
+    four values counting the sets W in its subtree that dominate every other
+    vertex of the subtree:
 
     - A: v not in W, and already dominated by a child in W;
     - B: v not in W, dominated or not;
     - C: v in W, and already dominated by a child in W;
     - D: v in W, dominated or not.
 
-    Visiting the vertices in reverse order folds each child c into its
-    parent v. When v is not in W, c must be dominated by its own children;
-    when v is in W, c may be in any state; a child in W dominates v:
+    A leaf child is never folded on its own: v starts at start(k) after all
+    k of them. Visiting the other vertices in reverse order folds each
+    child c into its parent v. When v is not in W, c must be dominated by
+    its own children; when v is in W, c may be in any state; a child in W
+    dominates v:
 
         A' = A*cA + B*cC,  B' = B*(cA + cC),
         C' = C*cB + D*cD,  D' = D*(cB + cD).
+
+    A parent still at start(0) takes its first child by two additions and
+    two products by x: A' = cC, B' = cA + cC, C' = x*cD, D' = x*(cB + cD).
 
     A component contributes A + C at its root, so an isolated vertex gives
     0; components multiply, and the empty forest gives 0. The fold is
@@ -188,7 +196,9 @@ def _fold_forest(g: Graph, add: Callable, mul: Callable, leaf: tuple):
     """
     if not g.is_forest():
         raise ValueError("input graph contains a cycle")
-    out = leaf[1] if g.order else leaf[0]
+    fresh = start(0)
+    x = fresh[3]
+    out = fresh[1] if g.order else fresh[0]
     adj = g._adj
     seen: set[int] = set()
     for root in g.vertices:
@@ -197,38 +207,54 @@ def _fold_forest(g: Graph, add: Callable, mul: Callable, leaf: tuple):
         if root in seen:
             continue
         seen.add(root)
-        order, parent = [root], {}
+        order, parent, leaves = [root], {}, {}
         for v in order:  # grows while it is walked: a breadth-first search
             for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
-                    parent[w] = v
-                    order.append(w)
+                    if len(adj[w]) == 1:  # a leaf child: counted, not visited
+                        leaves[v] = leaves.get(v, 0) + 1
+                    else:
+                        parent[w] = v
+                        order.append(w)
         state = {}  # a vertex's (A, B, C, D) once it has a child folded in
         for child in reversed(order[1:]):
-            ca, cb, cc, cd = state.pop(child, leaf)
-            a, b, c, d = state.get(parent[child], leaf)
-            state[parent[child]] = (
-                add(mul(a, ca), mul(b, cc)),
-                mul(b, add(ca, cc)),
-                add(mul(c, cb), mul(d, cd)),
-                mul(d, add(cb, cd)),
-            )
-        a, _, c, _ = state.get(root, leaf)
+            ca, cb, cc, cd = state.pop(child, None) or start(leaves[child])
+            v = parent[child]
+            if v in state or v in leaves:
+                a, b, c, d = state.get(v) or start(leaves[v])
+                state[v] = (
+                    add(mul(a, ca), mul(b, cc)),
+                    mul(b, add(ca, cc)),
+                    add(mul(c, cb), mul(d, cd)),
+                    mul(d, add(cb, cd)),
+                )
+            else:
+                state[v] = (cc, add(ca, cc), mul(x, cd), mul(x, add(cb, cd)))
+        a, _, c, _ = state.get(root) or start(leaves.get(root, 0))
         out = mul(out, add(a, c))
     return out
 
 
-# (A, B, C, D) of a childless vertex as coefficient lists: (0, 1, 0, x)
-_LEAF_COEFFS = ((), (1,), (), (0, 1))
+def _start_coeffs(k: int) -> tuple:
+    """(A, B, C, D) of a vertex after its k leaf children, as coefficient
+    lists. For k >= 1, v out of W leaves them undominated, so A = B = 0; v in
+    W needs a nonempty set of them to be dominated: C = x((1+x)^k - 1) and
+    D = x(1+x)^k, one binomial row."""
+    if not k:
+        return (), (1,), (), (0, 1)  # the leaf's (0, 1, 0, x)
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * (k - i) // (i + 1))
+    return (), (), [0, 0, *row[1:]], [0, *row]
 
 
 def tree_tdp(g: Graph) -> IntPoly:
     """Exact polynomial for a forest: the four-state fold on coefficient
-    lists, O(n^2) coefficient products for n vertices. Raises ValueError on
-    a cycle; a forest with an isolated vertex gives 0, and so does the empty
-    forest."""
-    out = _fold_forest(g, _add_coeffs, _mul_coeffs, _LEAF_COEFFS)
+    lists, O(n^2) coefficient products for n vertices, and one binomial row
+    for the leaves of each vertex. Raises ValueError on a cycle; a forest
+    with an isolated vertex gives 0, and so does the empty forest."""
+    out = _fold_forest(g, _add_coeffs, _mul_coeffs, _start_coeffs)
     return ensure_valid_tdp(IntPoly._of(list(out)), g.order)  # () for the empty forest
 
 

@@ -120,7 +120,12 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past Python's int-to-str limit; Decimal has none, same digits
+            from decimal import Decimal  # imported here: only such a value needs it
+
+            return str(Decimal(value))
     if isinstance(value, IntPoly):
         return value.to_coeff_strings()
     if isinstance(value, complex):

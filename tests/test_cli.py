@@ -307,9 +307,71 @@ def test_eval_beyond_float_range_exit_2(capsys, argv):
 
 
 def test_eval_cycle_800_at_complex_point_exit_2(capsys):
-    # forest-recurrence's eval requests at n >= 800 fail here by design
-    code, out, err = run_cli(capsys, ["eval", "--family", "cycle", "--n", "800", "--at", "1+2i"])
-    assert (code, out, err) == (2, "", "error: value at (1+2j) is beyond the float range\n")
+    # forest-recurrence's eval requests at n >= 800 fail here by design; the
+    # budget on their integer points' values admits them
+    for n in (800, 950, 1000, 1500):
+        argv = ["eval", "--family", "cycle", "--n", str(n), "--at", "-1", "2", "0.5", "1+2i"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", "error: value at (1+2j) is beyond the float range\n"), n
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "nan", "inf", "1e400i", "1+1e400i"])
+def test_eval_non_finite_point_names_the_token(capsys, monkeypatch, token):
+    monkeypatch.setattr(cli, "tree_tdp", refuse_to_run)  # refused while parsing
+    code, out, err = run_cli(capsys, ["eval", "--family", "path", "--n", "5", f"--at={token}"])
+    assert (code, out, err) == (2, "", f"error: evaluation point {token!r} is not finite\n")
+
+
+def decimal_digits_to_int(text):
+    """The int a nonnegative decimal string names, read in pieces below
+    Python's int-from-str limit, which stays as it is."""
+    value = 0
+    for i in range(0, len(text), 4000):
+        piece = text[i:i + 4000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_eval_prints_exact_values_past_the_int_to_str_limit(capsys):
+    # D_t(C_3000, 100) has 6013 digits; str() refuses an int past 4300
+    code, out, err = run_cli(capsys, ["eval", "--family", "cycle", "--n", "3000", "--at", "100", "--format", "text"])
+    assert code == 0 and err == ""
+    text = out.splitlines()[-1].removeprefix("D_t(100) = ")
+    assert len(text) == 6013
+    assert decimal_digits_to_int(text) == cycle_tdp(3000).evaluate(100)
+
+
+def horner_ran(*args):
+    raise RuntimeError("horner ran")
+
+
+@pytest.mark.parametrize(
+    ("argv", "err"),
+    [
+        # one value: 100 * log10(1 + 10^999) + 1 = 99 901 digits, and 100 001 at 10^1000
+        ("eval --family path --n 100 --at 1" + "0" * 999, None),
+        ("eval --family path --n 100 --at 1" + "0" * 1000, "a value is capped at 100000 predicted digits, got 100001 by n = 100"),
+        # C_3000 prints 2 712 904 coefficient digits, and 99 001 per value near 10^33
+        ("eval --family cycle --n 3000 --at 1" + "0" * 33 + " -1" + "0" * 33, None),
+        (
+            "eval --family cycle --n 3000 --at 1" + "0" * 33 + " -1" + "0" * 33 + " 1" + "0" * 32 + "1",
+            "output is capped at 3000000 predicted digits, got 3009907 by n = 3000",
+        ),
+        ("eval --family cycle --n 3000 --at " + "9" * 4000, "a value is capped at 100000 predicted digits, got 12000001 by n = 3000"),
+    ],
+    ids=["one value at the cap", "one value past it", "values at the sum's cap", "values past it", "4000-digit point"],
+)
+def test_eval_value_budget_refuses_before_horner(capsys, monkeypatch, argv, err):
+    # Horner raises, so an admitted request exits 4 with its message and a
+    # refused one must have exited 3 before it ran
+    monkeypatch.setattr(IntPoly, "evaluate", horner_ran)
+    monkeypatch.setattr(cli, "tree_tdp", lambda g: IntPoly.zero())
+    monkeypatch.setattr(cli, "_recurrence_terms", lambda family, n: iter([IntPoly.zero()]))
+    code, out, got = run_cli(capsys, argv.split())
+    if err is None:
+        assert (code, out, got) == (4, "", "error: internal: RuntimeError: horner ran\n")
+    else:
+        assert (code, out, got) == (3, "", f"error: {err}\n")
 
 
 def test_eval_negative_points_in_every_form(capsys):
@@ -340,6 +402,8 @@ def test_parse_point_forms():
     assert cli.parse_point("-i") == -1j
     assert cli.parse_point("2.5i") == 2.5j
     assert cli.parse_point("1 + 2i") == complex(1, 2)
+    # past Python's int-from-str limit of 4300 digits: still the integer
+    assert cli.parse_point("-" + "9" * 5000) == 1 - 10**5000
     with pytest.raises(ValueError):
         cli.parse_point("")
     with pytest.raises(ValueError):

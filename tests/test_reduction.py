@@ -17,7 +17,7 @@ from tdpoly.graph import (
     star_graph,
 )
 from tdpoly.oracle import brute_force_tdp, gamma_t
-from tdpoly.polynomial import IntPoly
+from tdpoly.polynomial import IntPoly, _add_coeffs, _mul_coeffs
 from tdpoly.reduction import (
     _add_bands,
     _fold_forest,
@@ -326,6 +326,35 @@ def test_tree_tdp_stars_match_binomial_formula():
             assert tree_tdp(leaf_rooted).coeffs == tuple(want), n
 
 
+def fold_products(g):
+    """How many ring products the forest fold makes on g, coefficient lists."""
+    calls = 0
+
+    def mul(a, b):
+        nonlocal calls
+        calls += 1
+        return _mul_coeffs(a, b)
+
+    out = _fold_forest(g, _add_coeffs, mul, reduction._start_coeffs)
+    assert IntPoly(out) == tree_tdp(g)
+    return calls
+
+
+def test_fold_products_skip_leaves_and_fresh_parents():
+    # counted products, so the saving shows as work and not as time
+    n = 200
+    # K_{1,199}: the one product is the component's, at either root
+    assert fold_products(star_graph(n)) == 1
+    # rooted at a leaf: the centre, at start(198), meets a fresh parent, two
+    # products by x
+    assert fold_products(Graph(range(n), ((n - 1, i) for i in range(n - 1)))) == 3
+    # a path rooted at an end, then at a middle vertex: at most 2 per vertex
+    assert fold_products(path_graph(n)) == 2 * n - 3
+    middle = Graph(range(n), [(0, 1), (0, 2), *((i, i + 2) for i in range(1, n - 2))])
+    assert middle.is_connected() and max(map(middle.degree, middle.vertices)) == 2
+    assert fold_products(middle) <= 2 * n
+
+
 def test_tree_tdp_large_random_trees_meet_structural_facts():
     rng = random.Random(4242)
     for n in (1000, 1400, 2000):
@@ -350,9 +379,15 @@ def test_tree_tdp_matches_independent_enumeration():
 FOLD_POINTS = range(-3, 4)
 
 
+def int_start(x):
+    """start(k) on Python ints at the integer x: the leaf's (0, 1, 0, x), and
+    after k >= 1 leaf children (0, 0, x((1+x)^k - 1), x(1+x)^k)."""
+    return lambda k: (0, 0, x * ((1 + x) ** k - 1), x * (1 + x) ** k) if k else (0, 1, 0, x)
+
+
 def int_fold(g, x):
     """D_t(g, x) by the forest fold on Python ints, at the integer x."""
-    return _fold_forest(g, operator.add, operator.mul, (0, 1, 0, x))
+    return _fold_forest(g, operator.add, operator.mul, int_start(x))
 
 
 def assert_int_fold_matches_oracle(g):

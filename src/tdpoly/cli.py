@@ -2,8 +2,7 @@
 
 Subcommands: poly (one polynomial), family (a table over an order range),
 eval (values at points), verify (identity suites), scan (extremal scans).
-Output is deterministic for a fixed request and seed; elapsed time is only
-emitted when --timing is passed, precisely so byte-identity holds without it.
+Output is deterministic for a fixed request and seed.
 
 verify and scan share one runner. Each suite is one row of _SUITES, keyed by
 subcommand and suite name: its runner(order, trials, seed), default order,
@@ -31,7 +30,6 @@ import json
 import math
 import re
 import sys
-import time
 from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -48,19 +46,19 @@ from .extremal import (
 )
 from .graph import (
     Graph,
+    _parse_edge_lines,
     cycle_graph,
     disjoint_union,
     fixed_small_corpus,
     is_cycle_shaped,
     is_path_shaped,
-    parse_edge_list,
     path_graph,
     random_connected_corpus,
     star_graph,
     two_corona,
 )
 from .oracle import MAX_ENUM_ORDER, brute_force_tdp
-from .polynomial import IntPoly
+from .polynomial import IntPoly, _binary_point
 from .reduction import (
     _recurrence_terms,
     tree_tdp,
@@ -145,7 +143,8 @@ _CLASS_TESTS = {"forest": Graph.is_forest, "path": is_path_shaped, "cycle": is_c
 # value |D_t(x)| <= (1 + |x|)^m, as each coefficient is at most C(m, k)
 _MAX_DIGITS = 3_000_000
 # and one value this many: an int's decimal digits take time quadratic in
-# their number (0.2 s at 100 000 digits, 19 s at 10^6 on Python 3.11)
+# their number (0.2 s at 100 000 digits, 19 s at 10^6 on Python 3.11), and
+# so does Horner's exact numerator at a float or complex point
 _MAX_VALUE_DIGITS = 100_000
 
 
@@ -199,14 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="family order parameter")
         p.add_argument("--base", metavar="FILE", help="base graph file (two-corona only)")
 
-    def add_output_options(p: argparse.ArgumentParser, timing_help: str | None = None) -> None:
+    def add_output_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--method", choices=("auto", "brute", "tree", "recurrence"), default="auto")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--timing", action="store_true", help=timing_help)
 
     p_poly = sub.add_parser("poly", help="compute one polynomial")
     add_graph_source(p_poly)
-    add_output_options(p_poly, "include elapsed milliseconds")
+    add_output_options(p_poly)
     p_poly.set_defaults(run=_cmd_poly, at=None)
 
     p_family = sub.add_parser("family", help="tabulate a family over an order range")
@@ -252,14 +250,16 @@ def _load_member(args: argparse.Namespace) -> _Member:
     if args.infile is not None:
         if args.n is not None or args.base is not None:
             raise ValueError("--n/--base only apply to --family")
-        return _graph_member(_read_edge_list(args.infile))
+        n, edges = _read_edge_list(args.infile)
+        return _lazy_member(n, lambda: Graph(range(n), edges))
     if args.family is None:
         raise ValueError("give a graph via --in FILE or --family NAME")
     if args.family == "two-corona":
         if (args.base is None) == (args.n is None):
             raise ValueError("two-corona takes exactly one of --base FILE or --n N")
         if args.base is not None:
-            return _graph_member(two_corona(_read_edge_list(args.base)))
+            n, edges = _read_edge_list(args.base)
+            return _lazy_member(3 * n, lambda: two_corona(Graph(range(n), edges)))
     elif args.base is not None:
         raise ValueError("--base only applies to --family two-corona")
     elif args.n is None:
@@ -267,15 +267,19 @@ def _load_member(args: argparse.Namespace) -> _Member:
     return _family_member(args.family, args.n)
 
 
-def _read_edge_list(path: str) -> Graph:
+def _read_edge_list(path: str) -> tuple[int, dict[tuple[int, int], None]]:
     # one bytes read and one decode cost less than a text-mode read; the parser splits
     # "\r\n" and "\r" as text mode would, and utf-8-sig drops a leading byte-order mark
     with open(path, "rb") as fh:
-        return parse_edge_list(fh.read().decode("utf-8-sig"))
+        return _parse_edge_lines(fh.read().decode("utf-8-sig"))
 
 
-def _graph_member(g: Graph) -> _Member:
-    return _Member(g.order, lambda c: _CLASS_TESTS[c](g), lambda: g)
+def _lazy_member(order: int, build: Callable[[], Graph]) -> _Member:
+    """A graph whose order is known before it is built: from a file's header,
+    or as the 2-corona (order 3n) of one. It is built once, on the first
+    class test or engine read, so the digit budget refuses it unbuilt."""
+    graph = cache(build)
+    return _Member(order, lambda c: _CLASS_TESTS[c](graph()), graph)
 
 
 def _family_member(family: str, n: int) -> _Member:
@@ -285,9 +289,8 @@ def _family_member(family: str, n: int) -> _Member:
     maker, lower, classes = _FAMILIES["path" if family == "two-corona" else family]
     if n < lower:
         raise ValueError(f"family {family} starts at n = {lower}")
-    if family == "two-corona":  # of order 3n, built on the first class test or engine read
-        graph = cache(lambda: two_corona(maker(n)))
-        return _Member(3 * n, lambda c: _CLASS_TESTS[c](graph()), graph)
+    if family == "two-corona":
+        return _lazy_member(3 * n, lambda: two_corona(maker(n)))
     return _Member(n, classes(n).__contains__, lambda: maker(n))
 
 
@@ -301,14 +304,16 @@ def _dispatch(member: _Member, method: str) -> tuple[str, str]:
 
 
 def _value_digits(order: int, points: Iterable[int | float | complex]) -> Iterator[int]:
-    """Predicted digits of D_t(x) at each integer point for a graph of this
-    order; a value past _MAX_VALUE_DIGITS is refused. A float or complex
-    value is a float, so it prints no more digits than that."""
+    """Predicted digits of D_t(x) at each point for a graph of this order:
+    at x = (a + bi)/q, Horner's exact numerator is at most (|a| + |b| + q)^m
+    in size. A point past _MAX_VALUE_DIGITS is refused; only an integer
+    point's count is yielded, since a float or complex value prints as a float."""
     for x in points:
+        a, b, q = (x, 0, 1) if isinstance(x, int) else _binary_point(x)
+        count = math.floor(order * math.log10(abs(a) + abs(b) + q)) + 1
+        if count > _MAX_VALUE_DIGITS:
+            raise BudgetError(f"a value is capped at {_MAX_VALUE_DIGITS} predicted digits, got {count} by n = {order}")
         if isinstance(x, int):
-            count = math.floor(order * math.log10(1 + abs(x))) + 1
-            if count > _MAX_VALUE_DIGITS:
-                raise BudgetError(f"a value is capped at {_MAX_VALUE_DIGITS} predicted digits, got {count} by n = {order}")
             yield count
 
 
@@ -379,34 +384,26 @@ def parse_point(text: str) -> int | float | complex:
 
 def _cmd_poly(args: argparse.Namespace) -> int:
     """poly, and eval when --at gives points: the one-graph case of family."""
-    start = time.perf_counter()
     member = _load_member(args)
     points = {token: parse_point(token) for token in args.at or ()}
     poly, env = next(_solve([member], args.method, points.values()))
     if args.at is not None:
         env["evaluations"] = {token: _jsonable(poly.evaluate(x)) for token, x in points.items()}
-    if args.timing:
-        env["timing_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     if args.format == "json":
         print(json.dumps(env, separators=(",", ":")))
         return 0
     lines = [f"n = {env['n']}", f"method = {env['method']}", f"gamma_t = {env['gamma_t']}", f"D_t = {poly}"]
     lines += [f"D_t({point}) = {value}" for point, value in env.get("evaluations", {}).items()]
-    if args.timing:
-        lines.append(f"timing_ms = {env['timing_ms']}")
     print("\n".join(lines))
     return 0
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
     if args.n_min > args.n_max:
         raise ValueError("--n-min must not exceed --n-max")
     members = (_family_member(args.family, n) for n in range(args.n_min, args.n_max + 1))
     solved = list(_solve(members, args.method))
     out = {"family": args.family, "n_min": args.n_min, "n_max": args.n_max, "items": [env for _, env in solved]}
-    if args.timing:
-        out["timing_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
     if args.format == "json":
         print(json.dumps(out, separators=(",", ":")))
     else:

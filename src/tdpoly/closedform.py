@@ -28,8 +28,6 @@ from .polynomial import IntPoly, _binary_point, _round_parts
 from .reduction import _fold_forest, _order4_walk, _recurrence_terms
 from .reports import VerificationReport
 
-SINGULAR_POINTS = (0.0, -4.0)
-
 #: D_t(P_n, -1) depends only on n mod 6: residues 1 and 4 give 0, the rest 1.
 _PATH_MINUS_ONE = {0: 1, 1: 0, 2: 1, 3: 1, 4: 0, 5: 1}
 

@@ -220,6 +220,12 @@ def parse_edge_list(text: str) -> Graph:
     Isolated vertices are simply declared by the header and never mentioned
     again. Self-loops and duplicate edges are rejected.
     """
+    n, edges = _parse_edge_lines(text)
+    return Graph(range(n), edges)
+
+
+def _parse_edge_lines(text: str) -> tuple[int, dict[tuple[int, int], None]]:
+    """parse_edge_list's order and edges, every line checked, no graph built."""
     n: int | None = None
     edges: dict[tuple[int, int], None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -252,7 +258,7 @@ def parse_edge_list(text: str) -> Graph:
         edges[key] = None
     if n is None:
         raise GraphParseError("missing 'n <count>' header line")
-    return Graph(range(n), edges)
+    return n, edges
 
 
 def to_edge_list(g: Graph) -> str:

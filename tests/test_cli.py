@@ -124,15 +124,19 @@ def test_poly_byte_identity_across_runs(capsys):
     assert first == second
 
 
-def test_poly_timing_key_only_when_asked(capsys):
-    _, plain, _ = run_cli(capsys, ["poly", "--family", "path", "--n", "5"])
-    _, timed, _ = run_cli(capsys, ["poly", "--family", "path", "--n", "5", "--timing"])
-    assert "timing_ms" not in json.loads(plain)
-    timed_env = json.loads(timed)
-    assert isinstance(timed_env["timing_ms"], float)
-    # the rest of the envelope is unchanged
-    del timed_env["timing_ms"]
-    assert timed_env == json.loads(plain)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "poly --family path --n 5 --timing",
+        "eval --family path --n 5 --at 2 --timing",
+        "family --family path --n-min 2 --n-max 5 --timing",
+    ],
+)
+def test_no_subcommand_takes_timing(capsys, argv):
+    # stdout is a function of the request alone, so no option puts a clock on it
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: tdpoly") and "unrecognized arguments: --timing" in err
 
 
 def test_envelope_round_trip(capsys):
@@ -358,8 +362,20 @@ def horner_ran(*args):
             "output is capped at 3000000 predicted digits, got 3009907 by n = 3000",
         ),
         ("eval --family cycle --n 3000 --at " + "9" * 4000, "a value is capped at 100000 predicted digits, got 12000001 by n = 3000"),
+        # at x = (a + bi)/q Horner's numerator is priced as (|a| + |b| + q)^m,
+        # and a float or complex value adds nothing to the sum
+        ("eval --family cycle --n 3000 --at 1+1e200i", "a value is capped at 100000 predicted digits, got 600001 by n = 3000"),
+        ("eval --family cycle --n 3000 --at 1e300", "a value is capped at 100000 predicted digits, got 900001 by n = 3000"),
+        ("eval --family cycle --n 3000 --at 1e-300", "a value is capped at 100000 predicted digits, got 947342 by n = 3000"),
+        ("eval --family cycle --n 316 --at 1e-300", None),
+        # 77 666 and 49 109 digits at 1e-10 and -0.3 would pass the sum's cap
+        ("eval --family cycle --n 3000 --at 1" + "0" * 33 + " -1" + "0" * 33 + " 1e-10 -0.3", None),
     ],
-    ids=["one value at the cap", "one value past it", "values at the sum's cap", "values past it", "4000-digit point"],
+    ids=[
+        "one value at the cap", "one value past it", "values at the sum's cap", "values past it", "4000-digit point",
+        "complex point past the cap", "huge float past it", "tiny float past it", "tiny float under it",
+        "floats outside the sum",
+    ],
 )
 def test_eval_value_budget_refuses_before_horner(capsys, monkeypatch, argv, err):
     # Horner raises, so an admitted request exits 4 with its message and a
@@ -990,6 +1006,22 @@ def test_two_corona_past_the_digit_budget_builds_no_graph(capsys, monkeypatch):
         assert err == "error: output is capped at 3000000 predicted digits, got 2709270903090 by n = 3000000\n", sub
 
 
+def test_files_past_the_digit_budget_build_no_graph(capsys, monkeypatch, tmp_path):
+    # a file's order is its header's (the 2-corona of it, three times that),
+    # so a 12-byte file declaring 10^8 vertices is refused unbuilt
+    f = tmp_path / "huge.txt"
+    f.write_text("n 100000000\n")
+    monkeypatch.setattr(cli.Graph, "__init__", refuse_to_run)
+    for argv, digits, n in (
+        (["poly", "--in", str(f)], 3010300030103000, 10**8),
+        (["eval", "--in", str(f), "--at", "2"], 3010300030103000, 10**8),
+        (["poly", "--family", "two-corona", "--base", str(f)], 27092699790308999, 3 * 10**8),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3 and out == "", argv
+        assert err == f"error: output is capped at 3000000 predicted digits, got {digits} by n = {n}\n", argv
+
+
 def test_minus_one_refuses_orders_past_the_cap(capsys, monkeypatch):
     # its path rows walk ints at -1, so the cap's run takes about a second
     code, out, err = run_cli(capsys, ["verify", "--suite", "minus-one", "--n-max", "1000000", "--trials", "0"])
@@ -1205,11 +1237,13 @@ def test_two_corona_with_both_parameters_exit_2(capsys, tmp_path):
 
 
 def test_unparseable_file_exit_2(capsys, tmp_path):
+    # a file is priced by its header only once every line parses
     f = tmp_path / "bad.txt"
-    f.write_text("oops\n")
-    code, _, err = run_cli(capsys, ["poly", "--in", str(f)])
-    assert code == 2
-    assert "line 1" in err
+    for text, line in (("oops\n", "line 1"), ("n 100000000\n0 1\n1 1\n", "line 3")):
+        f.write_text(text)
+        code, _, err = run_cli(capsys, ["poly", "--in", str(f)])
+        assert code == 2
+        assert line in err
 
 
 def test_leading_byte_order_mark_is_ignored(capsys, tmp_path):

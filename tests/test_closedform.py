@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tdpoly.closedform import (
     CLOSED_FORM_N_MAX,
     CLOSED_FORM_POINTS,
-    SINGULAR_POINTS,
     cycle_closed_eval,
     forest_at_minus_one,
     path_at_minus_one,
@@ -21,6 +20,10 @@ from tdpoly.graph import Graph, cycle_graph, disjoint_union, path_graph, star_gr
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import _SEEDS, _order4_walk, _recurrence_terms, cycle_tdp, path_tdp
 
+
+#: The closed forms' two singular points: the quartic's double root at 0,
+#: and -4, where the path weights blow up.
+SINGULAR_POINTS = (0.0, -4.0)
 
 #: Points for the bit-for-bit comparison: real and complex, near both
 #: singular points, and x = -2, where all four roots have modulus sqrt(2).

@@ -68,8 +68,10 @@ class Graph:
         return v in self._adj
 
     def neighbors(self, v: int) -> frozenset[int]:
-        self._require_live(v)
-        return self._adj[v]
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise ValueError(f"vertex {v} is not live in this graph") from None
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -203,11 +205,17 @@ class VertexClassification:
 
 def classify_vertices(g: Graph) -> VertexClassification:
     """Pendants (degree 1), their neighbors (supporting), degree-2, isolated."""
-    pendant = frozenset(v for v in g.vertices if g.degree(v) == 1)
-    supporting = frozenset(next(iter(g.neighbors(p))) for p in pendant)
-    degree2 = frozenset(v for v in g.vertices if g.degree(v) == 2)
-    isolated = frozenset(v for v in g.vertices if g.degree(v) == 0)
-    return VertexClassification(pendant, supporting, degree2, isolated)
+    pendant, supporting, degree2, isolated = set(), set(), set(), set()
+    for v, nbrs in g._adj.items():  # one pass over the adjacency
+        d = len(nbrs)
+        if d == 1:
+            pendant.add(v)
+            supporting |= nbrs
+        elif d == 2:
+            degree2.add(v)
+        elif not d:
+            isolated.add(v)
+    return VertexClassification(frozenset(pendant), frozenset(supporting), frozenset(degree2), frozenset(isolated))
 
 
 # -- edge-list text format -------------------------------------------------

@@ -77,8 +77,9 @@ def brute_force_tdp(
     if g.order == 0:
         return IntPoly.zero()
     bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-    req, forb = _mask(bit, required), _mask(bit, forbidden)
-    virtual = dict.fromkeys(_mask(bit, vs) for vs in meets)  # distinct sets, in order
+    req = _mask(bit, required) if required else 0
+    forb = _mask(bit, forbidden) if forbidden else 0
+    virtual = dict.fromkeys(_mask(bit, vs) for vs in meets) if meets else ()  # distinct sets, in order
     if req & forb:
         return IntPoly.zero()
     n = g.order
@@ -90,9 +91,10 @@ def brute_force_tdp(
         m = 0
         for w in adj[v]:
             m |= bit[w]
-        for j, vs in enumerate(virtual):
-            if vs & b:
-                m |= 1 << (n + j)
+        if virtual:
+            for j, vs in enumerate(virtual):
+                if vs & b:
+                    m |= 1 << (n + j)
         if req & b:
             target &= ~m
         elif not forb & b:

@@ -216,7 +216,7 @@ def ensure_valid_tdp(p: IntPoly, order: int | None = None) -> IntPoly:
     graph order when given. Raising here catches sign errors in reduction
     arithmetic before they propagate.
     """
-    if any(c < 0 for c in p.coeffs):
+    if min(p.coeffs, default=0) < 0:
         raise InternalConsistencyError(f"negative coefficient in claimed D_t: {p!r}")
     if p.coeff(0) != 0 or p.coeff(1) != 0:
         raise InternalConsistencyError(f"claimed D_t has support below degree 2: {p!r}")

@@ -294,6 +294,24 @@ def test_classify_isolated():
     assert classify_vertices(Graph([0, 1], [])).isolated == frozenset({0, 1})
 
 
+def test_classify_mixed_graph():
+    # 0 isolated; the P_2 1-2, whose ends are each pendant and supporting; the
+    # spider with centre 3 (degree 3) and legs 3-4-5, 3-6-7 and 3-8
+    g = Graph(range(9), [(1, 2), (3, 4), (4, 5), (3, 6), (6, 7), (3, 8)])
+    cls = classify_vertices(g)
+    assert cls.pendant == frozenset({1, 2, 5, 7, 8})
+    assert cls.supporting == frozenset({1, 2, 3, 4, 6})
+    assert cls.degree2 == frozenset({4, 6})
+    assert cls.isolated == frozenset({0})
+
+
+def test_queries_on_a_dead_label_raise():
+    g = path_graph(10).delete_vertex(9)
+    for query in (g.neighbors, g.degree):
+        with pytest.raises(ValueError, match="^vertex 9 is not live in this graph$"):
+            query(9)
+
+
 # -- generators ---------------------------------------------------------------
 
 

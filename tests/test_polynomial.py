@@ -178,6 +178,8 @@ def test_ensure_valid_tdp_rejects_bad_shapes():
         ensure_valid_tdp(IntPoly((0, 1)))  # a set of size 1 cannot totally dominate
     with pytest.raises(InternalConsistencyError):
         ensure_valid_tdp(IntPoly((0, 0, -1)))  # counts cannot be negative
+    with pytest.raises(InternalConsistencyError, match="negative coefficient"):
+        ensure_valid_tdp(IntPoly((0, 0, -1, 1)))  # nor in the middle of the list
     with pytest.raises(InternalConsistencyError):
         ensure_valid_tdp(P4, 3)  # degree above the graph order
 

@@ -6,6 +6,7 @@ from itertools import islice
 import pytest
 
 from tdpoly import reduction
+from tdpoly.closedform import forest_at_minus_one
 from tdpoly.errors import InternalConsistencyError
 from tdpoly.graph import (
     Graph,
@@ -291,8 +292,17 @@ def test_tree_tdp_forest_product():
 
 
 def test_tree_tdp_rejects_cycles():
-    with pytest.raises(ValueError):
-        tree_tdp(cycle_graph(4))
+    # a cycle in any component, also one walked after the product is already 0
+    cyclic = [
+        cycle_graph(4),
+        Graph(range(4), [(1, 2), (2, 3), (1, 3)]),  # an isolated vertex, then a triangle
+        Graph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]),  # a triangle with a pendant path
+        disjoint_union(star_graph(4), cycle_graph(4)),  # a tree, then C_4
+    ]
+    for g in cyclic:
+        for fold in (tree_tdp, forest_at_minus_one):
+            with pytest.raises(ValueError, match="^input graph contains a cycle$"):
+                fold(g)
 
 
 def test_tree_tdp_exhaustive_small_orders():

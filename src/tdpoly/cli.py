@@ -127,11 +127,10 @@ _FAMILIES = {
     "star": (lambda n: star_graph(n), 2, lambda n: ("forest", "path") if n <= 3 else ("forest",)),
 }
 
-# method -> (class, label, engine) rows; the first whose class holds (None: every graph) wins
+# --method choice -> (class, label, engine) rows; the first whose class holds (None: every graph) wins
 _DISPATCH = {
     "auto": (("forest", "tree", "tree"), ("cycle", "recurrence", "cycle"), (None, "brute", "brute")),
     "brute": ((None, "brute", "brute"),),
-    "tree": ((None, "tree", "tree"),),
     "recurrence": (("path", "recurrence", "path"), ("cycle", "recurrence", "cycle")),
 }
 
@@ -199,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--base", metavar="FILE", help="base graph file (two-corona only)")
 
     def add_output_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--method", choices=("auto", "brute", "tree", "recurrence"), default="auto")
+        p.add_argument("--method", choices=tuple(_DISPATCH), default="auto")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p_poly = sub.add_parser("poly", help="compute one polynomial")
@@ -269,9 +268,9 @@ def _load_member(args: argparse.Namespace) -> _Member:
 
 def _read_edge_list(path: str) -> tuple[int, dict[tuple[int, int], None]]:
     # one bytes read and one decode cost less than a text-mode read; the parser splits
-    # "\r\n" and "\r" as text mode would, and utf-8-sig drops a leading byte-order mark
+    # "\r\n" and "\r" as text mode would, and drops a leading byte-order mark
     with open(path, "rb") as fh:
-        return _parse_edge_lines(fh.read().decode("utf-8-sig"))
+        return _parse_edge_lines(fh.read().decode("utf-8"))
 
 
 def _lazy_member(order: int, build: Callable[[], Graph]) -> _Member:

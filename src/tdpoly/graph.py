@@ -8,6 +8,7 @@ across the derivation. The empty graph (no live vertices) is a valid value.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -26,9 +27,21 @@ class Graph:
     __slots__ = ("_adj", "_vertices", "_edges")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
-        adj: dict[int, list[int]] = {int(v): [] for v in vertices}
+        # operator.index takes ints and numpy's ints; int() would read the label 0.9 as 0
+        index = operator.index
+        adj: dict[int, list[int]] = {}
+        for v in vertices:
+            try:
+                adj[index(v)] = []
+            except TypeError:
+                raise TypeError(f"vertex labels must be exact ints, got {type(v).__name__}") from None
         for u, v in edges:
-            u, v = int(u), int(v)
+            try:
+                u = index(u)
+                v = index(v)
+            except TypeError:
+                bad = v if type(u) is int else u  # u is an int once read
+                raise TypeError(f"vertex labels must be exact ints, got {type(bad).__name__}") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u not in adj or v not in adj:
@@ -236,6 +249,7 @@ def _parse_edge_lines(text: str) -> tuple[int, dict[tuple[int, int], None]]:
     """parse_edge_list's order and edges, every line checked, no graph built."""
     n: int | None = None
     edges: dict[tuple[int, int], None] = {}
+    text = text.removeprefix("\ufeff")  # a byte-order mark, as some editors save UTF-8
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):

@@ -17,8 +17,9 @@ class IntPoly:
     """Immutable integer polynomial in one variable.
 
     ``IntPoly([0, 0, 1, 2, 1])`` is ``x^4 + 2x^3 + x^2``. The constructor
-    checks that every coefficient is an int; the arithmetic, and the engines
-    that compute coefficient lists themselves, build through ``_of``.
+    checks that every coefficient is an int and not a bool; the arithmetic,
+    and the engines that compute coefficient lists themselves, build through
+    ``_of``.
     """
 
     __slots__ = ("_coeffs",)
@@ -26,7 +27,7 @@ class IntPoly:
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be exact ints, got {type(c).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()

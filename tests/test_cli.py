@@ -4,7 +4,9 @@ Everything goes through main(argv) so exit codes and emitted bytes are the
 same ones a shell user would see.
 """
 
+import csv
 import hashlib
+import io
 import json
 import sys
 
@@ -12,8 +14,8 @@ import pytest
 
 import tdpoly
 from tdpoly import cli, closedform, extremal, reduction
-from tdpoly.errors import InternalConsistencyError
-from tdpoly.graph import cycle_graph, path_graph
+from tdpoly.errors import GraphParseError, InternalConsistencyError
+from tdpoly.graph import cycle_graph, parse_edge_list, path_graph
 from tdpoly.oracle import brute_force_tdp
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import cycle_tdp, path_tdp
@@ -686,6 +688,24 @@ def test_scan_gamma_bounds(capsys):
     assert json.loads(out)["summary"]["all_ok"] is True
 
 
+def test_scan_gamma_bounds_csv_leaves_missing_shapes_empty(capsys):
+    # equality_shape is null on every row whose bound is not tight; CSV
+    # writes such a cell empty, and every other cell as the JSON row has it
+    argv = ["scan", "--suite", "gamma-bounds", "--n", "6", "--trials", "5"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == report["columns"]
+    assert len(rows) == len(report["rows"])
+    shapes = [dict(zip(header, row))["equality_shape"] for row in rows]
+    expected = [row["equality_shape"] for row in report["rows"]]
+    assert None in expected and any(expected)  # both kinds of cell occur
+    assert shapes == ["" if shape is None else shape for shape in expected]
+
+
 def test_scan_byte_identity_for_fixed_seed(capsys):
     argv = ["scan", "--suite", "degree2", "--n", "7", "--trials", "5"]
     _, first, _ = run_cli(capsys, argv)
@@ -872,15 +892,10 @@ def test_small_call_suites_bytes_frozen(capsys, tmp_path, argv):
 
 def test_family_errors_stop_at_the_same_member(capsys, monkeypatch):
     # a member the recurrence does not answer fails where it did before the
-    # walk: C_3 under the tree engine, S_4 under the recurrence (S_2 and S_3
-    # are paths, answered by the walk)
+    # walk: S_4 (S_2 and S_3 are paths, answered by the walk)
     dispatched = []
     honest = cli._dispatch
     monkeypatch.setattr(cli, "_dispatch", lambda g, method: dispatched.append(g.order) or honest(g, method))
-    code, out, err = run_cli(capsys, ["family", "--family", "cycle", "--n-min", "3", "--n-max", "5", "--method", "tree"])
-    assert (code, out, err) == (2, "", "error: input graph contains a cycle\n")
-    assert dispatched == [3]
-    dispatched.clear()
     code, out, err = run_cli(capsys, ["family", "--family", "star", "--n-min", "2", "--n-max", "5", "--method", "recurrence"])
     assert (code, out) == (2, "")
     assert err == "error: recurrence method applies only to path- or cycle-shaped graphs\n"
@@ -912,7 +927,7 @@ def test_walk_answered_members_build_no_graph(capsys, monkeypatch):
     assert [code for code, _, _ in with_graphs] == [0, 0, 0, 0, 0, 0, 2, 0]
 
 
-@pytest.mark.parametrize("method", ["auto", "brute", "tree", "recurrence"])
+@pytest.mark.parametrize("method", ["auto", "brute", "recurrence"])
 @pytest.mark.parametrize("family", ["path", "cycle", "star"])
 def test_family_items_are_the_poly_outputs(capsys, family, method):
     # a family table is its members' poly answers in turn; where one member
@@ -1215,6 +1230,22 @@ def test_usage_errors_exit_2(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "poly --family path --n 4",
+        "eval --family star --n 5 --at 2",
+        "family --family path --n-min 1 --n-max 5",
+    ],
+)
+def test_method_tree_is_not_a_choice(capsys, argv):
+    # auto already sends every forest to the tree engine, so there is no
+    # tree route to force: tree is refused like any unknown method
+    code, out, err = run_cli(capsys, [*argv.split(), "--method", "tree"])
+    assert (code, out) == (2, "")
+    assert "error: argument --method: invalid choice: 'tree'" in err.splitlines()[-1]
+
+
 def test_both_sources_exit_2(capsys, tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("n 2\n0 1\n")
@@ -1261,6 +1292,16 @@ def test_leading_byte_order_mark_is_ignored(capsys, tmp_path):
         assert run_cli(capsys, ["poly", *flags, str(marked)]) == expected
         code, out, err = run_cli(capsys, ["poly", *flags, str(late)])
         assert (code, out) == (2, "") and err.startswith("error: line 2: ")
+
+
+def test_parser_drops_a_leading_byte_order_mark():
+    # the library parses a marked text as the CLI reads a marked file; one
+    # more mark, or one after the start, stays a parse error
+    assert parse_edge_list("\ufeffn 3\n0 1\n") == parse_edge_list("n 3\n0 1\n")
+    for text, line in (("\ufeff\ufeffn 3\n0 1\n", 1), ("n 3\n\ufeff0 1\n", 2)):
+        with pytest.raises(GraphParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value).startswith(f"line {line}: ")
 
 
 def test_missing_file_exit_2(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -473,6 +474,25 @@ def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError) as info:
         Graph([3, 5], [(3, 5), (7, 3)])
     assert str(info.value) == "edge (7, 3) references an unknown vertex"
+
+
+def test_graph_rejects_labels_that_are_not_ints():
+    # int() would truncate: [0, 0.9] would be one vertex, and the edge to
+    # the non-vertex 1.2 the edge (0, 1)
+    for vertices, edges, name in (
+        ([0, 0.9], [], "float"),
+        ([0, 1.7], [(0, 1.2)], "float"),
+        ([0, 1], [(0, 1.2)], "float"),
+        ([0, 1], [(0.5, 1)], "float"),
+        ([0, "1"], [], "str"),
+    ):
+        with pytest.raises(TypeError) as info:
+            Graph(vertices, edges)
+        assert str(info.value) == f"vertex labels must be exact ints, got {name}"
+    # numpy's ints are exact, and read as Python ints
+    g = Graph(np.arange(3), [(np.int64(0), np.int32(1))])
+    assert_same_graph(g, Graph(range(3), [(0, 1)]))
+    assert {type(v) for v in g.vertices} == {int}
 
 
 def test_generators_match_the_validating_constructor():

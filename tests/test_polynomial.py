@@ -45,6 +45,10 @@ def test_constructor_rejects_inexact_coefficients():
     assert str(info.value) == "coefficients must be exact ints, got float"
     with pytest.raises(TypeError):
         IntPoly([0, 1, "2"])
+    # a bool is an int to Python but would print as "True"
+    with pytest.raises(TypeError) as info:
+        IntPoly([0, 0, True])
+    assert str(info.value) == "coefficients must be exact ints, got bool"
 
 
 def test_shared_zero_and_one_are_unchanged_by_arithmetic():

@@ -11,9 +11,9 @@ trials; the --suite choices come from that table. An order or a --trials
 below those is a usage error, and so is --trials or --seed on a suite that
 draws nothing at random (its default trials is 0). An order or a --trials
 above the largest is refused before any work: with exit 3 where the oracle
-would pass its budget (claim1, recurrence) or minus-one or a tree scan
-would run for more than a few seconds, with exit 2 where closedform's values
-would pass the float range.
+would pass its budget (claim1, recurrence) or a tree scan or a suite's
+random trials would run for more than a few seconds, with exit 2 where
+closedform's values would pass the float range.
 A verify suite passes when it records no failure, a scan when every summary
 flag its report names in `checks` holds.
 
@@ -79,7 +79,9 @@ class _Suite(NamedTuple):
     smallest: int  # a smaller order would check nothing and pass vacuously
     largest: int = MAX_ENUM_ORDER  # a larger one is refused before any work
     fewest_trials: int = 0  # fewer --trials would check nothing too
-    most_trials: int | None = None  # more --trials are refused before any work (exit 3)
+    # more --trials are refused before any work (exit 3); a suite with no
+    # default trials takes no --trials at all
+    most_trials: int = 0
     # what a larger order raises: an enumeration budget (exit 3), or a
     # ValueError (exit 2) where the values would pass the float range
     past_largest: type[Exception] = BudgetError
@@ -94,13 +96,22 @@ def _params(n: int, trials: int, seed: int) -> dict:
 # reaches them. claim1 and recurrence run the oracle at every order up to
 # theirs; prop1, theorem1, theorem3, degree2 and gamma-bounds draw orders up
 # to theirs and send each graph whole to the oracle, so all seven take the
-# oracle's cap as their largest order.
+# oracle's cap as their largest order. Those five and minus-one also take
+# as their most trials about the count that runs 1.6 s at the largest order
+# on the slowest seed tried; theorem1 gets there at its default of 100,
+# and theorem3 (3-5 s at n = 26) is past it already, so both stop at 100.
 _SUITES: dict[str, dict[str, _Suite]] = {
     "verify": {
-        "theorem1": _Suite(lambda n, t, s: verify_vertex_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2),
-        "theorem3": _Suite(lambda n, t, s: verify_edge_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2),
+        "theorem1": _Suite(
+            lambda n, t, s: verify_vertex_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2, most_trials=100
+        ),
+        "theorem3": _Suite(
+            lambda n, t, s: verify_edge_reduction(_verify_corpus(t, n, s), _params(n, t, s)), 10, 100, 2, most_trials=100
+        ),
         "claim1": _Suite(lambda n, t, s: verify_conditioned_path_recurrence(n_max=n), 14, 0, 5),
-        "prop1": _Suite(lambda n, t, s: verify_basic_identities(_prop1_corpus(t, n, s), _params(n, t, s)), 10, 50, 2),
+        "prop1": _Suite(
+            lambda n, t, s: verify_basic_identities(_prop1_corpus(t, n, s), _params(n, t, s)), 10, 50, 2, most_trials=1000
+        ),
         "recurrence": _Suite(lambda n, t, s: verify_recurrences(n_max=n), 18, 0, 1),
         "closedform": _Suite(
             lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1, CLOSED_FORM_N_MAX, past_largest=ValueError
@@ -115,8 +126,10 @@ _SUITES: dict[str, dict[str, _Suite]] = {
         "tree-bound": _Suite(lambda n, t, s: scan_tree_bound(n), None, 0, 2, 14),
         "minimal-tree": _Suite(lambda n, t, s: minimal_tree_scan(n), None, 0, 2, 9),
         # every degree2 instance is drawn at random, so 0 trials check nothing
-        "degree2": _Suite(lambda n, t, s: scan_degree2(t, n, s), None, 200, 2, fewest_trials=1),
-        "gamma-bounds": _Suite(lambda n, t, s: scan_gamma_bounds(gamma_scan_corpus(t, n, s), _params(n, t, s)), None, 30, 3),
+        "degree2": _Suite(lambda n, t, s: scan_degree2(t, n, s), None, 200, 2, fewest_trials=1, most_trials=4000),
+        "gamma-bounds": _Suite(
+            lambda n, t, s: scan_gamma_bounds(gamma_scan_corpus(t, n, s), _params(n, t, s)), None, 30, 3, most_trials=3500
+        ),
     },
 }
 
@@ -441,7 +454,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         raise ValueError(f"{name} starts at n = {suite.smallest}; got {args.order_flag} {n}")
     if n > suite.largest:
         raise suite.past_largest(f"{name} is capped at n <= {suite.largest}, got n = {n}")
-    if suite.most_trials is not None and trials > suite.most_trials:
+    if trials > suite.most_trials:
         raise BudgetError(f"{name} is capped at --trials <= {suite.most_trials}, got --trials {trials}")
     if trials < suite.fewest_trials:
         raise ValueError(f"{name} needs --trials >= {suite.fewest_trials}; got --trials {trials}")

@@ -466,31 +466,30 @@ def verify_basic_identities(graphs: Iterable[Graph], params: dict | None = None)
     """
     report = VerificationReport("prop1", dict(params or {}))
     for g in graphs:
-        text = to_edge_list(g)
         poly = brute_force_tdp(g)
         cls = classify_vertices(g)
         dominatable = g.order > 0 and not cls.isolated
 
-        report.record_check(text, "zero-iff-undominatable", bool(poly) == dominatable, dominatable, bool(poly))
+        report.record_check(g, "zero-iff-undominatable", bool(poly) == dominatable, dominatable, bool(poly))
         low_ok = poly.coeff(0) == 0 and poly.coeff(1) == 0
-        report.record_check(text, "no-support-below-2", low_ok, IntPoly.zero(), IntPoly((poly.coeff(0), poly.coeff(1))))
+        report.record_check(g, "no-support-below-2", low_ok, IntPoly.zero(), IntPoly((poly.coeff(0), poly.coeff(1))))
         top = poly.coeff(g.order) if g.order else 0
-        report.record_check(text, "full-set-coefficient", top == int(dominatable), int(dominatable), top)
+        report.record_check(g, "full-set-coefficient", top == int(dominatable), int(dominatable), top)
         gamma = _gamma_by_cover_search(g)
-        report.record_check(text, "gamma-is-min-degree", gamma == poly.min_degree(), gamma, poly.min_degree())
+        report.record_check(g, "gamma-is-min-degree", gamma == poly.min_degree(), gamma, poly.min_degree())
         parts = IntPoly.one() if g.order else IntPoly.zero()
         for comp in g.components():
             parts = parts * brute_force_tdp(comp)
-        report.record(text, "component-product", poly, parts)
+        report.record(g, "component-product", poly, parts)
         if dominatable:
             expected, top_minus_one = g.order - len(cls.supporting), poly.coeff(g.order - 1)
-            report.record_check(text, "supporting-identity", expected == top_minus_one, expected, top_minus_one)
+            report.record_check(g, "supporting-identity", expected == top_minus_one, expected, top_minus_one)
         if g.order:
             v = min(g.vertices)
             with_v = brute_force_tdp(g, required=[v])
             without_v = brute_force_tdp(g, forbidden=[v])
-            report.record(text, f"membership-partition v={v}", poly, with_v + without_v)
+            report.record(g, f"membership-partition v={v}", poly, with_v + without_v)
             hit = brute_force_tdp(g, meets=[g.neighbors(v)])
             missed = brute_force_tdp(g, forbidden=g.neighbors(v))
-            report.record(text, f"neighborhood-partition v={v}", poly, hit + missed)
+            report.record(g, f"neighborhood-partition v={v}", poly, hit + missed)
     return report

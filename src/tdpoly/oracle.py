@@ -58,7 +58,8 @@ def brute_force_tdp(
     With no conditions this is D_t(g): zero for the empty graph and for any
     graph with an isolated vertex (no set can dominate it). The conditions
     become candidate masks and a cover target for ``kernels.size_counts``,
-    with live labels compressed to bits 0..n-1:
+    with live labels numbered 0..n-1 in adjacency order (counts by size do
+    not depend on the numbering):
 
     - a required vertex is in every counted set, so it leaves the candidates,
       its neighbourhood leaves the target and the counts shift up by |R|;
@@ -70,23 +71,24 @@ def brute_force_tdp(
 
     When some target bit is in no candidate mask (an isolated vertex, an
     empty must-meet set, a vertex whose neighbours are all forbidden), no set
-    counts and the zero polynomial returns without enumerating. A condition
-    on a label that is not live raises ``ValueError``.
+    counts and the zero polynomial returns without enumerating; an isolated
+    vertex is seen before any mask is built. A condition on a label that is
+    not live raises ``ValueError``, also on a graph that gives zero.
     """
     _check_budget(g)
-    if g.order == 0:
+    adj = g._adj  # neighbours of a live vertex are live: no label checks
+    if not adj:
         return IntPoly.zero()
-    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    bit = {v: 1 << i for i, v in enumerate(adj)}
     req = _mask(bit, required) if required else 0
     forb = _mask(bit, forbidden) if forbidden else 0
     virtual = dict.fromkeys(_mask(bit, vs) for vs in meets) if meets else ()  # distinct sets, in order
-    if req & forb:
+    if req & forb or not all(adj.values()):
         return IntPoly.zero()
-    n = g.order
+    n = len(adj)
     target = (1 << (n + len(virtual))) - 1
     candidates = []
     reach = 0  # the target bits some candidate covers
-    adj = g._adj  # neighbours of a live vertex are live: no label checks
     for v, b in bit.items():
         m = 0
         for w in adj[v]:

@@ -3,7 +3,10 @@
 The vertex and edge reduction right-hand sides are deliberately assembled
 from brute-force oracle calls on the smaller derived graphs: their whole
 point is to be compared against the oracle value on the original graph, so
-each side must be computed by an independent route. The path/cycle
+each side must be computed by an independent route. Each right-hand side is
+one shifted sum: every oracle result is added into a single coefficient
+list at its power of x and with its sign, so a term x^k*A costs only A's
+oracle call and one pass over A's coefficients. The path/cycle
 recurrence and the forest dynamic programme are the fast paths that fall
 out of those identities. Each takes its ring as a parameter, since
 evaluation at a point is a ring homomorphism. The recurrence is one walk
@@ -25,14 +28,13 @@ from functools import cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .graph import Graph, cycle_graph, path_graph, to_edge_list
+from .graph import Graph, cycle_graph, path_graph
 from .oracle import brute_force_tdp
 from .polynomial import IntPoly, _add_coeffs, _mul_coeffs, ensure_valid_tdp
 from .reports import VerificationReport
 
 _X = IntPoly.monomial(1)
 _X2 = IntPoly.monomial(2)
-_ONE_PLUS_X = IntPoly((1, 1))
 
 
 def indicator_tdp(g: Graph) -> IntPoly:
@@ -41,11 +43,26 @@ def indicator_tdp(g: Graph) -> IntPoly:
     This is the convention of the x^2 terms in the reduction identities:
     the removed closed neighborhoods already account for the dominating
     pair, so an empty remainder contributes a unit factor. A remainder with
-    an isolated vertex contributes 0, otherwise its polynomial.
+    an isolated vertex contributes 0, otherwise its polynomial. The
+    right-hand sides below apply the same rule inline.
     """
     if g.order == 0:
         return IntPoly.one()
     return brute_force_tdp(g)
+
+
+def _add_shifted(out: list[int], p: IntPoly, shift: int, sign: int = 1) -> None:
+    """out += sign * x^shift * p, in place; out is long enough."""
+    for i, c in enumerate(p.coeffs, shift):
+        out[i] += sign * c
+
+
+def _add_pair_term(out: list[int], rest: Graph) -> None:
+    """out += x^2 * indicator_tdp(rest): an empty remainder adds x^2 itself."""
+    if rest._adj:
+        _add_shifted(out, brute_force_tdp(rest), 2)
+    else:
+        out[2] += 1
 
 
 def vertex_reduction_rhs(g: Graph, u: int) -> IntPoly:
@@ -60,15 +77,20 @@ def vertex_reduction_rhs(g: Graph, u: int) -> IntPoly:
 
 
 def _vertex_rhs(g: Graph, u: int) -> IntPoly:
-    """vertex_reduction_rhs on a graph already known to be connected."""
+    """vertex_reduction_rhs on a graph already known to be connected, as one
+    shifted sum of degree at most n: D_t(G-u) at x^0, D_t(G/u) at x^1, the
+    avoiding count subtracted at x^0 and at x^1, and each pair term at x^2."""
     nbrs = sorted(g.neighbors(u))
     contracted = g.contract_vertex(u)
-    rhs = brute_force_tdp(g.delete_vertex(u))
-    rhs = rhs + _X * brute_force_tdp(contracted)
-    rhs = rhs - _ONE_PLUS_X * brute_force_tdp(contracted, forbidden=nbrs)
+    rhs = [0] * (g.order + 1)
+    _add_shifted(rhs, brute_force_tdp(g.delete_vertex(u)), 0)
+    _add_shifted(rhs, brute_force_tdp(contracted), 1)
+    avoiding = brute_force_tdp(contracted, forbidden=nbrs)
+    _add_shifted(rhs, avoiding, 0, -1)
+    _add_shifted(rhs, avoiding, 1, -1)
     for v in nbrs:
-        rhs = rhs + _X2 * indicator_tdp(g.without_closed_neighborhoods([u, v]))
-    return rhs
+        _add_pair_term(rhs, g.without_closed_neighborhoods([u, v]))
+    return IntPoly._of(rhs)
 
 
 def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
@@ -99,19 +121,23 @@ def edge_reduction_rhs(g: Graph, u: int, v: int) -> IntPoly:
 
 
 def _edge_rhs(g: Graph, u: int, v: int) -> IntPoly:
-    """edge_reduction_rhs on a graph already known to be connected; a
-    missing edge still raises, in ``Graph.delete_edge``."""
+    """edge_reduction_rhs on a graph already known to be connected, as one
+    shifted sum of degree at most n: D_t(G-e) at x^0, the pair term at x^2,
+    and per endpoint its anchored count at x^1 and its must-meet count at
+    x^0. A missing edge still raises, in ``Graph.delete_edge``."""
     minus_e = g.delete_edge(u, v)
-    rhs = brute_force_tdp(minus_e)
-    rhs = rhs + _X2 * indicator_tdp(g.without_closed_neighborhoods([u, v]))
+    adj = minus_e._adj
+    rhs = [0] * (g.order + 1)
+    _add_shifted(rhs, brute_force_tdp(minus_e), 0)
+    _add_pair_term(rhs, g.without_closed_neighborhoods([u, v]))
     for anchor, removed in ((v, u), (u, v)):
         remainder = minus_e.without_closed_neighborhoods([removed])
-        rhs = rhs + _X * brute_force_tdp(remainder, required=[anchor])
-        alive = frozenset(remainder.vertices)
-        dominators = [minus_e.neighbors(z) & alive for z in minus_e.neighbors(removed)]
+        _add_shifted(rhs, brute_force_tdp(remainder, required=[anchor]), 1)
+        alive = remainder._adj.keys()
+        dominators = [alive & adj[z] for z in adj[removed]]
         if all(dominators):  # an empty set is met by no W: the term is 0
-            rhs = rhs + brute_force_tdp(remainder, required=[anchor], meets=dominators)
-    return rhs
+            _add_shifted(rhs, brute_force_tdp(remainder, required=[anchor], meets=dominators), 0)
+    return IntPoly._of(rhs)
 
 
 def _order4_walk(seeds: tuple, add: Callable, times_x: Callable) -> Iterator:
@@ -284,10 +310,9 @@ def _verify_reduction(suite: str, graphs: Iterable[Graph], params: dict | None, 
     call the reductions' unchecked cores."""
     report = VerificationReport(suite, dict(params or {}))
     for g in filter(Graph.is_connected, graphs):
-        text = to_edge_list(g)
         lhs = brute_force_tdp(g)
         for param, rhs in sides(g):
-            report.record(text, param, lhs, rhs)
+            report.record(g, param, lhs, rhs)
     return report
 
 
@@ -326,7 +351,7 @@ def verify_conditioned_path_recurrence(n_max: int = 14) -> VerificationReport:
             + _X2 * end_conditioned(n - 3)
             + _X2 * end_conditioned(n - 4)
         )
-        report.record(to_edge_list(path_graph(n)), f"n={n}", lhs, rhs)
+        report.record(path_graph(n), f"n={n}", lhs, rhs)
     return report
 
 
@@ -336,5 +361,5 @@ def verify_recurrences(n_max: int = 18) -> VerificationReport:
     for family, make, lower in (("path", path_graph, 1), ("cycle", cycle_graph, 3)):
         for n, poly in zip(range(lower, n_max + 1), _recurrence_terms(family, lower)):
             g = make(n)
-            report.record(to_edge_list(g), f"{family} n={n}", brute_force_tdp(g), poly)
+            report.record(g, f"{family} n={n}", brute_force_tdp(g), poly)
     return report

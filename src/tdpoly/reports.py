@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from .graph import Graph, to_edge_list
 from .polynomial import IntPoly
 
 
@@ -39,14 +40,20 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, graph_text: str, param: str, lhs: IntPoly, rhs: IntPoly) -> None:
-        self.record_check(graph_text, param, lhs == rhs, lhs, rhs)
+    def record(self, graph: Graph | str, param: str, lhs: IntPoly, rhs: IntPoly) -> None:
+        self.record_check(graph, param, lhs == rhs, lhs, rhs)
 
-    def record_check(self, graph_text: str, param: str, ok: bool, lhs: Any, rhs: Any) -> None:
-        """Tally one instance judged by the caller (approximate comparisons)."""
+    def record_check(self, graph: Graph | str, param: str, ok: bool, lhs: Any, rhs: Any) -> None:
+        """Tally one instance judged by the caller (approximate comparisons).
+
+        The instance is its edge-list text, or a Graph that ``to_edge_list``
+        formats only when the check fails: most checks pass, and their text
+        would be dropped unread.
+        """
         self.instances += 1
         if not ok:
-            self.failures.append(IdentityFailure(graph_text, param, lhs, rhs))
+            text = graph if isinstance(graph, str) else to_edge_list(graph)
+            self.failures.append(IdentityFailure(text, param, lhs, rhs))
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

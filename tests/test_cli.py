@@ -631,6 +631,34 @@ def test_random_order_suites_refuse_orders_past_the_cap(capsys, monkeypatch, sub
     assert err == f"error: {sub} --suite {suite} is capped at n <= 26, got n = 27\n"
 
 
+# the most --trials of each suite: at n = 26 its slowest seed tried runs
+# near minus-one's 1.6 s, or its default already does (theorem1, theorem3)
+MOST_TRIALS = {"theorem1": 100, "theorem3": 100, "prop1": 1000, "degree2": 4000, "gamma-bounds": 3500}
+
+
+@pytest.mark.parametrize(("sub", "suite"), sorted(RANDOM_ORDER_SUITES))
+def test_random_order_suites_refuse_trials_past_the_cap(capsys, monkeypatch, sub, suite):
+    # without a cap, verify --suite theorem1 --n-max 26 --trials 100000000
+    # ran on past a minute; the refusal comes before the corpus is drawn
+    cap = MOST_TRIALS[suite]
+    flag = "--n" if sub == "scan" else "--n-max"
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return VerificationReport(suite)
+
+    for name in RANDOM_ORDER_SUITES[(sub, suite)]:
+        monkeypatch.setattr(cli, name, record)
+    code, out, err = run_cli(capsys, [sub, "--suite", suite, flag, "10", "--trials", str(cap)])
+    assert code == 0 and err == "" and calls[0][0] == cap  # (trials, order, seed)
+    for name in RANDOM_ORDER_SUITES[(sub, suite)]:
+        monkeypatch.setattr(cli, name, refuse_to_run)
+    code, out, err = run_cli(capsys, [sub, "--suite", suite, flag, "10", "--trials", str(cap + 1)])
+    assert code == 3 and out == ""
+    assert err == f"error: {sub} --suite {suite} is capped at --trials <= {cap}, got --trials {cap + 1}\n"
+
+
 def test_closedform_refuses_orders_past_the_float_range(capsys, monkeypatch):
     # running the suite to n = 706 takes about 1 s, so the runner is
     # replaced; the closed forms' own boundary is tested in test_closedform

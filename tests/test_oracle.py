@@ -146,10 +146,30 @@ def test_conditioned_conjunction():
     assert got == want
 
 
-def test_condition_atom_on_dead_vertex_rejected():
+@pytest.mark.parametrize("g", [path_graph(2), P3_WITH_ISOLATED])
+def test_condition_atom_on_dead_vertex_rejected(monkeypatch, g):
+    # a graph with an isolated vertex gives zero before any enumeration,
+    # but only once its conditions are read
+    monkeypatch.setattr(kernels, "size_counts", lambda *a: pytest.fail("nothing is enumerated"))
     for cond in ({"required": [7]}, {"forbidden": [0, 7]}, {"meets": [{0}, {1, 7}]}):
         with pytest.raises(ValueError, match="vertex 7"):
-            brute_force_tdp(path_graph(2), **cond)
+            brute_force_tdp(g, **cond)
+
+
+def test_counts_do_not_depend_on_the_order_labels_are_given_in():
+    # the oracle numbers its bits in adjacency order, which follows the
+    # order of Graph's vertex argument
+    rng = random.Random(17)
+    for _ in range(40):
+        g = random_connected_graph(rng.randint(2, 9), rng.random(), rng.randrange(2**32))
+        labels = list(g.vertices)
+        rng.shuffle(labels)
+        h = Graph(labels, g.edges)
+        v = labels[0]
+        for cond in ({}, {"required": [v]}, {"forbidden": [v]}, {"meets": [g.neighbors(v)]}):
+            assert brute_force_tdp(h, **cond) == brute_force_tdp(g, **cond) == naive_tdp_filtered(
+                g, lambda w: holds_for(w, **cond)
+            )
 
 
 def test_condition_holds_for():

@@ -14,6 +14,7 @@ from tdpoly.graph import (
     disjoint_union,
     fixed_small_corpus,
     path_graph,
+    random_connected_corpus,
     random_forest,
     star_graph,
 )
@@ -37,6 +38,7 @@ from tdpoly.reduction import (
 )
 
 from helpers import (
+    all_labeled_graphs,
     all_labeled_trees,
     naive_tdp,
     random_tree,
@@ -151,6 +153,57 @@ def test_edge_reduction_differential_on_fixed_corpus():
         want = brute_force_tdp(g)
         for u, v in g.edges:
             assert edge_reduction_rhs(g, u, v) == want, (g, u, v)
+
+
+# -- the right-hand sides as shifted sums ------------------------------------------
+
+
+def _indicator(g):
+    return brute_force_tdp(g) if g.order else IntPoly.one()
+
+
+def vertex_expansion(g, u):
+    """Theorem 1's right-hand side written out term by term in IntPoly arithmetic."""
+    nbrs = sorted(g.neighbors(u))
+    contracted = g.contract_vertex(u)
+    rhs = brute_force_tdp(g.delete_vertex(u)) + IntPoly.monomial(1) * brute_force_tdp(contracted)
+    rhs = rhs - IntPoly((1, 1)) * brute_force_tdp(contracted, forbidden=nbrs)
+    for v in nbrs:
+        rhs = rhs + IntPoly.monomial(2) * _indicator(g.without_closed_neighborhoods([u, v]))
+    return rhs
+
+
+def edge_expansion(g, u, v):
+    """Theorem 3's six terms written out in IntPoly arithmetic."""
+    minus_e = g.delete_edge(u, v)
+    rhs = brute_force_tdp(minus_e) + IntPoly.monomial(2) * _indicator(g.without_closed_neighborhoods([u, v]))
+    for anchor, removed in ((v, u), (u, v)):
+        remainder = minus_e.without_closed_neighborhoods([removed])
+        rhs = rhs + IntPoly.monomial(1) * brute_force_tdp(remainder, required=[anchor])
+        alive = set(remainder.vertices)
+        dominators = [set(minus_e.neighbors(z)) & alive for z in minus_e.neighbors(removed)]
+        if all(dominators):
+            rhs = rhs + brute_force_tdp(remainder, required=[anchor], meets=dominators)
+    return rhs
+
+
+SMALL_CONNECTED = [g for n in range(1, 6) for g in all_labeled_graphs(n) if g.is_connected()]
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [SMALL_CONNECTED, random_connected_corpus(50, 9, seed=31)],
+    ids=["every-connected-graph-up-to-5", "random-connected-up-to-9"],
+)
+def test_right_hand_sides_equal_their_term_by_term_expansions(graphs):
+    # one shifted sum per side must equal the sum of its products by x, x^2
+    # and 1 + x, at every vertex and every edge
+    assert len(SMALL_CONNECTED) == 1 + 1 + 4 + 38 + 728  # connected labeled graphs on 1..5 vertices
+    for g in graphs:
+        for u in g.vertices:
+            assert vertex_reduction_rhs(g, u) == vertex_expansion(g, u), (g, u)
+        for u, v in g.edges:
+            assert edge_reduction_rhs(g, u, v) == edge_expansion(g, u, v), (g, u, v)
 
 
 # -- path and cycle recurrences ---------------------------------------------------
@@ -473,3 +526,30 @@ def test_report_records_failures_honestly():
     assert report.instances == 1
     blob = report.to_json_dict()
     assert blob["failures"][0]["lhs"] == ["0", "0", "1"]
+
+
+def _off_by_one(real, when):
+    """An oracle that adds 1 to the polynomial of every call where when(g, conditions) holds."""
+    return lambda g, **conditions: real(g, **conditions) + IntPoly.one() if when(g, conditions) else real(g, **conditions)
+
+
+def test_failures_carry_the_instance_edge_list(monkeypatch):
+    # the edge-list text is formatted only for a failing check; the labels
+    # 2, 5, 7 print as 0, 1, 2, as every derived graph's do
+    oracle = _off_by_one(reduction.brute_force_tdp, lambda g, conditions: bool(conditions))
+    monkeypatch.setattr(reduction, "brute_force_tdp", oracle)
+    p3 = Graph([2, 5, 7], [(2, 5), (5, 7)])
+    c4 = Graph([1, 3, 4, 9], [(1, 3), (3, 4), (4, 9), (9, 1)])
+    report = verify_vertex_reduction([p3])
+    assert [(f.graph, f.param) for f in report.failures] == [("n 3\n0 1\n1 2", f"u={u}") for u in (2, 5, 7)]
+    report = verify_edge_reduction([c4])
+    want = [("n 4\n0 1\n0 3\n1 2\n2 3", f"e={e}") for e in ("(1,3)", "(1,9)", "(3,4)", "(4,9)")]
+    assert [(f.graph, f.param) for f in report.failures] == want
+    oracle = _off_by_one(brute_force_tdp, lambda g, conditions: g.order == 5)
+    monkeypatch.setattr(reduction, "brute_force_tdp", oracle)
+    report = verify_recurrences(n_max=6)
+    assert [(f.graph, f.param) for f in report.failures] == [
+        ("n 5\n0 1\n1 2\n2 3\n3 4", "path n=5"),
+        ("n 5\n0 1\n0 4\n1 2\n2 3\n3 4", "cycle n=5"),
+    ]
+    assert report.instances == 6 + 4

@@ -10,10 +10,10 @@ default trials, smallest order, largest order, fewest trials and most
 trials; the --suite choices come from that table. An order or a --trials
 below those is a usage error, and so is --trials or --seed on a suite that
 draws nothing at random (its default trials is 0). An order or a --trials
-above the largest is refused before any work: with exit 3 where the oracle
-would pass its budget (claim1, recurrence) or a tree scan or a suite's
-random trials would run for more than a few seconds, with exit 2 where
-closedform's values would pass the float range.
+above the largest is refused before any work, with exit 3: there the
+oracle would pass its budget (claim1, recurrence), or a tree scan, a walk
+(closedform, minus-one) or a suite's random trials would run for more than
+a few seconds.
 A verify suite passes when it records no failure, a scan when every summary
 flag its report names in `checks` holds.
 
@@ -34,7 +34,7 @@ from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .closedform import CLOSED_FORM_N_MAX, verify_closed_forms, verify_minus_one
+from .closedform import verify_closed_forms, verify_minus_one
 from .errors import BudgetError, InternalConsistencyError
 from .extremal import (
     gamma_scan_corpus,
@@ -82,9 +82,6 @@ class _Suite(NamedTuple):
     # more --trials are refused before any work (exit 3); a suite with no
     # default trials takes no --trials at all
     most_trials: int = 0
-    # what a larger order raises: an enumeration budget (exit 3), or a
-    # ValueError (exit 2) where the values would pass the float range
-    past_largest: type[Exception] = BudgetError
 
 
 def _params(n: int, trials: int, seed: int) -> dict:
@@ -96,7 +93,8 @@ def _params(n: int, trials: int, seed: int) -> dict:
 # reaches them. claim1 and recurrence run the oracle at every order up to
 # theirs; prop1, theorem1, theorem3, degree2 and gamma-bounds draw orders up
 # to theirs and send each graph whole to the oracle, so all seven take the
-# oracle's cap as their largest order. Those five and minus-one also take
+# oracle's cap as their largest order; closedform stops about where its
+# walk and exact checks run 1.6 s. Those five and minus-one also take
 # as their most trials about the count that runs 1.6 s at the largest order
 # on the slowest seed tried; theorem1 gets there at its default of 100,
 # and theorem3 (3-5 s at n = 26) is past it already, so both stop at 100.
@@ -113,9 +111,7 @@ _SUITES: dict[str, dict[str, _Suite]] = {
             lambda n, t, s: verify_basic_identities(_prop1_corpus(t, n, s), _params(n, t, s)), 10, 50, 2, most_trials=1000
         ),
         "recurrence": _Suite(lambda n, t, s: verify_recurrences(n_max=n), 18, 0, 1),
-        "closedform": _Suite(
-            lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1, CLOSED_FORM_N_MAX, past_largest=ValueError
-        ),
+        "closedform": _Suite(lambda n, t, s: verify_closed_forms(n_max=n), 30, 0, 1, 950),
         "minus-one": _Suite(
             lambda n, t, s: verify_minus_one(path_n_max=n, forest_trials=t, seed=s), 60, 500, 1, 10**6, most_trials=50_000
         ),
@@ -453,7 +449,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     if n < suite.smallest:
         raise ValueError(f"{name} starts at n = {suite.smallest}; got {args.order_flag} {n}")
     if n > suite.largest:
-        raise suite.past_largest(f"{name} is capped at n <= {suite.largest}, got n = {n}")
+        raise BudgetError(f"{name} is capped at n <= {suite.largest}, got n = {n}")
     if trials > suite.most_trials:
         raise BudgetError(f"{name} is capped at --trials <= {suite.most_trials}, got --trials {trials}")
     if trials < suite.fewest_trials:

@@ -11,8 +11,9 @@ The sum is exact. A point is the binary fraction X/q it stores (X a Gaussian
 integer, q a power of two), so 2q times the roots are +-2s and X +- t with
 s^2 = -Xq and t^2 = X(X + 4q). One root of each pair is an element of
 Z[i][r]/(r^2 - R), powered by squaring; the conjugate r -> -r gives the
-other, so the pair adds up to twice the rational part. The exact value is
-rounded once per part, as in ``IntPoly.evaluate``.
+other, so the pair adds up to twice the rational part. The float routes
+round the exact value once per part, as ``IntPoly.evaluate`` does; the
+closed-form suite compares the exact values themselves.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ def _ring_mul(u: tuple, v: tuple, r2: tuple) -> tuple:
     )
 
 
-def _root_sum(n: int, x: complex | float, path: bool) -> complex | float:
-    """Sum of alpha_i lambda_i^n over the four roots, exact, then rounded."""
+def _root_sum(n: int, x: complex | float, path: bool) -> tuple[int, int, int]:
+    """Sum of alpha_i lambda_i^n over the four roots, exactly: (re, im, den)
+    with the value (re + im*i) / den."""
     a, b, q = _binary_point(x)  # x = X/q with X = a + bi
     if b == 0 and a in (0, -4 * q):
         raise ValueError(f"closed form is singular at x = {x}")
@@ -73,25 +75,24 @@ def _root_sum(n: int, x: complex | float, path: bool) -> complex | float:
         num_im += power[1]
     if not path:
         # twice the rational parts over (2q)^n
-        return _round_parts(num_re, num_im, 2 ** (n - 1) * q**n, x)
+        return num_re, num_im, 2 ** (n - 1) * q**n
     # twice the rational parts over 2q^2(x + 4)(2q)^n; times conj(X + 4q)
     c, d = a + 4 * q, -b
-    den = q * (c * c + d * d) * (2 * q) ** n
-    return _round_parts(num_re * c - num_im * d, num_re * d + num_im * c, den, x)
+    return num_re * c - num_im * d, num_re * d + num_im * c, q * (c * c + d * d) * (2 * q) ** n
 
 
 def path_closed_eval(n: int, x: complex | float) -> complex | float:
     """D_t(P_n, x) from the root expansion; real for real x, x not in {0, -4}."""
     if n < 1:
         raise ValueError("path order must be positive")
-    return _root_sum(n, x, path=True)
+    return _round_parts(*_root_sum(n, x, path=True), x)
 
 
 def cycle_closed_eval(n: int, x: complex | float) -> complex | float:
     """D_t(C_n, x) as the power sum of the four roots; x not in {0, -4}."""
     if n < 3:
         raise ValueError("cycle order must be at least 3")
-    return _root_sum(n, x, path=False)
+    return _round_parts(*_root_sum(n, x, path=False), x)
 
 
 def path_at_minus_one(n: int) -> int:
@@ -148,12 +149,8 @@ def forest_at_minus_one(g: Graph) -> int:
 
 # -- verification suites ------------------------------------------------------
 
-# the closed-form suite's grid of points and its relative error bound
+# the closed-form suite's grid of points
 CLOSED_FORM_POINTS = (1.0, 2.0, -2.0, 0.5, -1.0, -0.5)
-CLOSED_FORM_REL_TOL = 1e-6
-# the largest order whose values at every point above fit a float: at
-# x = 2.0, D_t(P_707) and D_t(C_707) pass the float range
-CLOSED_FORM_N_MAX = 706
 # the minus-one suite's largest star and largest random forest
 MINUS_ONE_STAR_N_MAX = 20
 MINUS_ONE_FOREST_ORDER_MAX = 16
@@ -162,26 +159,33 @@ MINUS_ONE_FOREST_ORDER_MAX = 16
 def verify_closed_forms(n_max: int = 30) -> VerificationReport:
     """Closed forms against exact recurrence values on a grid of points.
 
-    The recurrence's polynomial is evaluated by ``IntPoly.evaluate``; the
-    closed form must land within CLOSED_FORM_REL_TOL relative error at every
-    (n, x) with x in CLOSED_FORM_POINTS. Both round the same exact value
-    once, so they agree to the bit.
+    At every (n, x) with x in CLOSED_FORM_POINTS, the exact value of the
+    recurrence's polynomial (Horner on the binary fraction x) must equal
+    the closed form's exact root sum; nothing is rounded, so the values past
+    the float range are checked too. A failure records both values as
+    reduced fractions in decimal.
     """
-    report = VerificationReport(
-        "closedform", {"n_max": n_max, "points": list(CLOSED_FORM_POINTS), "rel_tol": CLOSED_FORM_REL_TOL}
-    )
-    # family -> (closed form, smallest order); one recurrence walk per family
-    families = {"path": (path_closed_eval, 1), "cycle": (cycle_closed_eval, 3)}
-    walks = {name: _recurrence_terms(name, lower) for name, (_, lower) in families.items()}
+    report = VerificationReport("closedform", {"n_max": n_max, "points": list(CLOSED_FORM_POINTS)})
+    # family -> smallest order; one recurrence walk per family
+    families = {"path": 1, "cycle": 3}
+    walks = {name: _recurrence_terms(name, lower) for name, lower in families.items()}
     for n in range(1, n_max + 1):
-        exact_polys = [(name, next(walks[name]), closed) for name, (closed, lower) in families.items() if n >= lower]
+        exact_polys = [(name, next(walks[name])) for name, lower in families.items() if n >= lower]
         for x in CLOSED_FORM_POINTS:
-            for name, poly, closed in exact_polys:
-                exact = poly.evaluate(x)
-                approx = closed(n, x)
-                ok = abs(approx - exact) <= CLOSED_FORM_REL_TOL * (1 + abs(exact))
-                report.record_check("", f"{name} n={n} x={x}", ok, exact, approx)
+            for name, poly in exact_polys:
+                (re, im, den), (cre, cim, cden) = poly._exact_at(x), _root_sum(n, x, name == "path")
+                ok = re * cden == cre * den and im * cden == cim * den
+                sides = ("", "") if ok else (_fraction_text(re, im, den), _fraction_text(cre, cim, cden))
+                report.record_check("", f"{name} n={n} x={x}", ok, *sides)
     return report
+
+
+def _fraction_text(re: int, im: int, den: int) -> str:
+    """(re + im*i) / den in lowest terms, as decimal text: "p/q", or "p/q+r/si"."""
+    from fractions import Fraction  # imported here: only a failure needs it
+
+    real = str(Fraction(re, den))
+    return real if im == 0 else f"{real}{'+' if im > 0 else ''}{Fraction(im, den)}i"
 
 
 def verify_minus_one(path_n_max: int = 60, forest_trials: int = 500, seed: int = 42) -> VerificationReport:

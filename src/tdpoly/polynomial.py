@@ -97,6 +97,11 @@ class IntPoly:
             for c in reversed(self._coeffs):
                 acc = acc * point + c
             return acc
+        return _round_parts(*self._exact_at(point), point)
+
+    def _exact_at(self, point) -> tuple[int, int, int]:
+        """(re, im, den) with the value at a float or complex point equal to
+        (re + im*i) / den exactly; ValueError if the point is not finite."""
         a, b, q = _binary_point(point)
         # sum c_i (a + bi)^i q^(d - i) over the Gaussian integers; d = degree
         acc_re = acc_im = 0
@@ -104,7 +109,7 @@ class IntPoly:
         for c in reversed(self._coeffs):
             acc_re, acc_im = acc_re * a - acc_im * b + c * scale, acc_re * b + acc_im * a
             scale *= q
-        return _round_parts(acc_re, acc_im, scale // q if self._coeffs else 1, point)
+        return acc_re, acc_im, scale // q if self._coeffs else 1
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

@@ -37,20 +37,6 @@ _X = IntPoly.monomial(1)
 _X2 = IntPoly.monomial(2)
 
 
-def indicator_tdp(g: Graph) -> IntPoly:
-    """Total domination polynomial with the empty graph mapped to 1.
-
-    This is the convention of the x^2 terms in the reduction identities:
-    the removed closed neighborhoods already account for the dominating
-    pair, so an empty remainder contributes a unit factor. A remainder with
-    an isolated vertex contributes 0, otherwise its polynomial. The
-    right-hand sides below apply the same rule inline.
-    """
-    if g.order == 0:
-        return IntPoly.one()
-    return brute_force_tdp(g)
-
-
 def _add_shifted(out: list[int], p: IntPoly, shift: int, sign: int = 1) -> None:
     """out += sign * x^shift * p, in place; out is long enough."""
     for i, c in enumerate(p.coeffs, shift):
@@ -58,7 +44,10 @@ def _add_shifted(out: list[int], p: IntPoly, shift: int, sign: int = 1) -> None:
 
 
 def _add_pair_term(out: list[int], rest: Graph) -> None:
-    """out += x^2 * indicator_tdp(rest): an empty remainder adds x^2 itself."""
+    """out += x^2 * D_t(rest), the x^2 term of the reduction identities. The
+    removed closed neighborhoods already account for the dominating pair, so
+    an empty remainder counts as 1 and adds x^2 itself; one with an isolated
+    vertex adds nothing, as its D_t is 0."""
     if rest._adj:
         _add_shifted(out, brute_force_tdp(rest), 2)
     else:

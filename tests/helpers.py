@@ -7,8 +7,8 @@ helpers at the end do call the brute-force oracle: what they check is the
 package's bookkeeping around it (labeled trees against unlabeled ones), so
 one oracle call per labeled tree, from the exhaustive Pruefer generator kept
 here, is the reference route. The three-term vertex reduction is built from
-oracle calls too: the package uses only the full identity, and the tests
-check the shorter form against it. So is `supporting_identity`: the prop1
+oracle calls too, through `indicator_tdp`: the package uses only the full
+identity, and the tests check the shorter form against it. So is `supporting_identity`: the prop1
 suite compares its two sides from the polynomial it already holds.
 `non_supporting_pair_set` is the one wrapper here around package code: only
 the tests ask for the pair set of a whole graph.
@@ -30,7 +30,6 @@ from tdpoly.graph import (
 )
 from tdpoly.oracle import brute_force_tdp
 from tdpoly.polynomial import IntPoly
-from tdpoly.reduction import indicator_tdp
 
 
 def poly_arith(kind, p, q):
@@ -201,6 +200,20 @@ def simple_vertex_reduction_applies(g, u):
             if q != u and g.degree(q) == 1:
                 return True
     return False
+
+
+def indicator_tdp(g):
+    """Total domination polynomial with the empty graph mapped to 1.
+
+    This is the convention of the x^2 terms in the reduction identities:
+    the removed closed neighborhoods already account for the dominating
+    pair, so an empty remainder contributes a unit factor. A remainder with
+    an isolated vertex contributes 0, otherwise its polynomial. The
+    package's right-hand sides apply the same rule inline.
+    """
+    if g.order == 0:
+        return IntPoly.one()
+    return brute_force_tdp(g)
 
 
 def simple_vertex_reduction_rhs(g, u):

@@ -174,7 +174,7 @@ def test_criterion_06_closed_forms():
     ]
     ok = report.passed and report.instances == 348 and not minus_one_bad
     finish(
-        "criterion 6: closed forms within 1e-6 and exact path values at -1",
+        "criterion 6: closed forms equal exact values and exact path values at -1",
         30.0,
         started,
         ok,

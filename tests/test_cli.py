@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -659,17 +660,38 @@ def test_random_order_suites_refuse_trials_past_the_cap(capsys, monkeypatch, sub
     assert err == f"error: {sub} --suite {suite} is capped at --trials <= {cap}, got --trials {cap + 1}\n"
 
 
-def test_closedform_refuses_orders_past_the_float_range(capsys, monkeypatch):
-    # running the suite to n = 706 takes about 1 s, so the runner is
-    # replaced; the closed forms' own boundary is tested in test_closedform
+def test_closedform_refuses_orders_past_its_cap(capsys, monkeypatch):
+    # running the suite to n = 950 takes about 1.5 s, so the runner is replaced
     seen = []
     monkeypatch.setattr(cli, "verify_closed_forms", lambda n_max: seen.append(n_max) or closedform.verify_closed_forms(1))
-    code, out, err = run_cli(capsys, ["verify", "--suite", "closedform", "--n-max", "706"])
-    assert code == 0 and err == "" and seen == [706]
-    for n in ("707", "5000"):
+    code, out, err = run_cli(capsys, ["verify", "--suite", "closedform", "--n-max", "950"])
+    assert code == 0 and err == "" and seen == [950]
+    for n in ("951", "5000"):
         code, out, err = run_cli(capsys, ["verify", "--suite", "closedform", "--n-max", n])
-        assert code == 2 and out == "" and seen == [706]
-        assert err == f"error: verify --suite closedform is capped at n <= 706, got n = {n}\n"
+        assert code == 3 and out == "" and seen == [950]
+        assert err == f"error: verify --suite closedform is capped at n <= 950, got n = {n}\n"
+
+
+def test_closedform_fails_on_a_value_off_by_one_unit(capsys, monkeypatch):
+    # the closed form's denominator for P_12 at x = 2 is 36 * 2^12 (x + 4 = 6,
+    # 2q = 2), so one unit more in its numerator moves D_t(P_12, 2) = 107 584
+    # by a relative 6.3e-11, far inside a float tolerance of 1e-6
+    honest = closedform._root_sum
+
+    def off_by_one(n, x, path):
+        re, im, den = honest(n, x, path)
+        return (re + 1, im, den) if (n, x, path) == (12, 2.0, True) else (re, im, den)
+
+    monkeypatch.setattr(closedform, "_root_sum", off_by_one)
+    code, out, err = run_cli(capsys, ["verify", "--suite", "closedform", "--n-max", "12"])
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["passed"] is False and report["instances"] == 6 * (12 + 10)
+    exact = fraction_horner(brute_force_tdp(path_graph(12)).coeffs, 2)[0]
+    assert exact == 107584
+    assert report["failures"] == [
+        {"graph": "", "param": "path n=12 x=2.0", "lhs": "107584", "rhs": str(exact + Fraction(1, 36 * 2**12))}
+    ]
 
 
 @pytest.mark.parametrize("suite", ["tree-bound", "minimal-tree"])
@@ -836,7 +858,8 @@ TREE_32 = """n 32
 # oracle's early zero and the unchecked graph derivations, (the last three)
 # before the trusted graph and polynomial constructors, and (the first three)
 # before graphs kept only their adjacency, so none of these changes a byte;
-# the closedform entries before its path and cycle checks became one loop;
+# the closedform entries before its path and cycle checks became one loop,
+# less the tolerance that left its params with the exact compare;
 # the family, recurrence and "--n-max 300" minus-one entries before family
 # and the suites took their path and cycle terms from one recurrence walk;
 # the "{tree32}", "--n 300" and "--n 200" entries before eval's values and
@@ -848,9 +871,9 @@ TREE_32 = """n 32
 # TREE_32.
 SMALL_CALL_DIGESTS = {
     "verify --suite closedform":
-        "e40899421e08e0850ad1a652855cf94afa543ef65da5892c868a70fcdd862bb4",
+        "1a19a903f17843d97498ed60ef2b6c1ed61f6cc9d141e25a78464f3afb8a547e",
     "verify --suite closedform --n-max 60":
-        "62160d2925914c4c757d48675d3369e5637b6f32610cbaf4998abbeefd3a5468",
+        "669a698177dd55ecf3b5ba90da11deb10f5ec7d4cf2303d32f93308ce71ecbfa",
     "verify --suite theorem1 --n-max 8 --trials 20 --seed 5":
         "97dc6b2d4d80e8f08c36c38f507d2993dcadc06e4003f96de2afd7e60d2029bb",
     "verify --suite theorem3 --n-max 8 --trials 20 --seed 5":

@@ -1,4 +1,5 @@
 import operator
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpoly.closedform import (
-    CLOSED_FORM_N_MAX,
     CLOSED_FORM_POINTS,
+    _fraction_text,
+    _root_sum,
     cycle_closed_eval,
     forest_at_minus_one,
     path_at_minus_one,
@@ -109,14 +111,28 @@ def test_beyond_float_range_raises_value_error():
 
 
 def test_closed_form_cap_is_the_last_order_within_float_range():
-    # every grid point fits a float at the cap; one order past it, x = 2.0
+    # every grid point fits a float at n = 706; one order past it, x = 2.0
     # does not (D_t(C_706, 2) is about 1.45e308, D_t(P_706, 2) 9.0e307)
-    assert CLOSED_FORM_N_MAX == 706
     for closed in (path_closed_eval, cycle_closed_eval):
         for x in CLOSED_FORM_POINTS:
             closed(706, x)
         with pytest.raises(ValueError, match="beyond the float range"):
             closed(707, 2.0)
+
+
+def test_exact_values_agree_past_the_float_range():
+    # the suite compares exact values, so it checks orders whose floats overflow
+    for poly, path in ((path_tdp(707), True), (cycle_tdp(707), False)):
+        re, im, den = poly._exact_at(2.0)
+        cre, cim, cden = _root_sum(707, 2.0, path)
+        assert im == cim == 0 and Fraction(re, den) == Fraction(cre, cden) == poly.evaluate(2)
+
+
+def test_fraction_text_reduces_each_part():
+    assert _fraction_text(6, 0, 4) == "3/2"
+    assert _fraction_text(8, 0, 4) == "2"
+    assert _fraction_text(6, -2, 4) == "3/2-1/2i"
+    assert _fraction_text(0, 3, 9) == "0+1/3i"
 
 
 def test_path_at_minus_one_residue_table():

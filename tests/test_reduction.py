@@ -27,7 +27,6 @@ from tdpoly.reduction import (
     _recurrence_terms,
     cycle_tdp,
     edge_reduction_rhs,
-    indicator_tdp,
     path_tdp,
     tree_tdp,
     vertex_reduction_rhs,
@@ -40,6 +39,7 @@ from tdpoly.reduction import (
 from helpers import (
     all_labeled_graphs,
     all_labeled_trees,
+    indicator_tdp,
     naive_tdp,
     random_tree,
     simple_vertex_reduction_applies,

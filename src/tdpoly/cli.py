@@ -4,6 +4,12 @@ Subcommands: poly (one polynomial), family (a table over an order range),
 eval (values at points), verify (identity suites), scan (extremal scans).
 Output is deterministic for a fixed request and seed.
 
+poly, eval and family answer each graph by the one route its class picks,
+and the output's "method" names it: tree (the tree fold) for a forest,
+recurrence (the order-4 walk) for a cycle and brute (the oracle) for any
+other graph. A named family's route follows from its name; a graph read
+from a file or built as a 2-corona is routed by _route.
+
 verify and scan share one runner. Each suite is one row of _SUITES, keyed by
 subcommand and suite name: its runner(order, trials, seed), default order,
 default trials, smallest order, largest order, fewest trials and most
@@ -51,7 +57,6 @@ from .graph import (
     disjoint_union,
     fixed_small_corpus,
     is_cycle_shaped,
-    is_path_shaped,
     path_graph,
     random_connected_corpus,
     star_graph,
@@ -129,22 +134,14 @@ _SUITES: dict[str, dict[str, _Suite]] = {
     },
 }
 
-# family name -> (maker, smallest order, classes at order n); makers are looked up at call time too
+# family name -> (maker, smallest order, route): paths and stars are forests,
+# so the tree engine answers them, and cycles take the walk; makers are looked
+# up at call time too
 _FAMILIES = {
-    "path": (lambda n: path_graph(n), 1, lambda n: ("forest", "path")),
-    "cycle": (lambda n: cycle_graph(n), 3, lambda n: ("cycle",)),
-    "star": (lambda n: star_graph(n), 2, lambda n: ("forest", "path") if n <= 3 else ("forest",)),
+    "path": (lambda n: path_graph(n), 1, "tree"),
+    "cycle": (lambda n: cycle_graph(n), 3, "recurrence"),
+    "star": (lambda n: star_graph(n), 2, "tree"),
 }
-
-# --method choice -> (class, label, engine) rows; the first whose class holds (None: every graph) wins
-_DISPATCH = {
-    "auto": (("forest", "tree", "tree"), ("cycle", "recurrence", "cycle"), (None, "brute", "brute")),
-    "brute": ((None, "brute", "brute"),),
-    "recurrence": (("path", "recurrence", "path"), ("cycle", "recurrence", "cycle")),
-}
-
-# how a graph read from a file or built as a two-corona answers each class
-_CLASS_TESTS = {"forest": Graph.is_forest, "path": is_path_shaped, "cycle": is_cycle_shaped}
 
 # a request may print this many digits, summed over its members: a graph of
 # order m prints m + 1 coefficients, each below 2^m, and at an integer x a
@@ -158,7 +155,7 @@ _MAX_VALUE_DIGITS = 100_000
 
 class _Member(NamedTuple):  # one graph to solve
     order: int
-    is_in: Callable[[str], bool]  # class name -> whether the graph is in that class
+    route: str | None  # tree, recurrence or brute; None: read off the graph by _route
     graph: Callable[[], Graph]  # a named family's is built only when an engine reads it
 
 
@@ -207,7 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--base", metavar="FILE", help="base graph file (two-corona only)")
 
     def add_output_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--method", choices=tuple(_DISPATCH), default="auto")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p_poly = sub.add_parser("poly", help="compute one polynomial")
@@ -284,31 +280,30 @@ def _read_edge_list(path: str) -> tuple[int, dict[tuple[int, int], None]]:
 
 def _lazy_member(order: int, build: Callable[[], Graph]) -> _Member:
     """A graph whose order is known before it is built: from a file's header,
-    or as the 2-corona (order 3n) of one. It is built once, on the first
-    class test or engine read, so the digit budget refuses it unbuilt."""
-    graph = cache(build)
-    return _Member(order, lambda c: _CLASS_TESTS[c](graph()), graph)
+    or as the 2-corona (order 3n) of one. It is built once, when its route
+    is read, so the digit budget refuses it unbuilt."""
+    return _Member(order, None, cache(build))
+
+
+def _route(g: Graph) -> str:
+    """The engine for a graph read from a file or built as a 2-corona: the
+    tree fold for a forest, the walk for a cycle and the oracle for every
+    other graph."""
+    if g.is_forest():
+        return "tree"
+    return "recurrence" if is_cycle_shaped(g) else "brute"
 
 
 def _family_member(family: str, n: int) -> _Member:
     """The member of a named family at order parameter n; two-corona's is
-    the 2-corona of P_n, tested on its graph. An n below the family's
+    the 2-corona of P_n, routed by its graph. An n below the family's
     smallest order (its base path's, for two-corona) is a usage error."""
-    maker, lower, classes = _FAMILIES["path" if family == "two-corona" else family]
+    maker, lower, route = _FAMILIES["path" if family == "two-corona" else family]
     if n < lower:
         raise ValueError(f"family {family} starts at n = {lower}")
     if family == "two-corona":
         return _lazy_member(3 * n, lambda: two_corona(maker(n)))
-    return _Member(n, classes(n).__contains__, lambda: maker(n))
-
-
-def _dispatch(member: _Member, method: str) -> tuple[str, str]:
-    """Resolve the method selector to (method reported, engine); under auto
-    the method reported is the input's class: tree, recurrence or brute."""
-    for cls, label, engine in _DISPATCH[method]:
-        if cls is None or member.is_in(cls):
-            return label, engine
-    raise ValueError("recurrence method applies only to path- or cycle-shaped graphs")
+    return _Member(n, route, lambda: maker(n))
 
 
 def _value_digits(order: int, points: Iterable[int | float | complex]) -> Iterator[int]:
@@ -326,14 +321,13 @@ def _value_digits(order: int, points: Iterable[int | float | complex]) -> Iterat
 
 
 def _solve(
-    members: Iterable[_Member], method: str, points: Iterable[int | float | complex] = ()
+    members: Iterable[_Member], points: Iterable[int | float | complex] = ()
 ) -> Iterator[tuple[IntPoly, dict]]:
     """(D_t, output envelope) of each member in turn, once the digits all of
     them may print, their coefficients and their values at the points, are
-    known to fit _MAX_DIGITS. A family's members come in consecutive orders,
-    and those the recurrence answers are all paths or all cycles, so they
-    take the terms of one walk; only the tree and brute engines read a
-    member's graph."""
+    known to fit _MAX_DIGITS. The walk answers cycles only, and a family's
+    members come in consecutive orders, so they take the terms of one walk;
+    only the tree and brute engines read a member's graph."""
     admitted, digits = [], 0
     for m in members:
         coefficients = (m.order + 1) * (math.floor(m.order * math.log10(2)) + 1)
@@ -344,16 +338,16 @@ def _solve(
         admitted.append(m)
     walk = None
     for m in admitted:
-        used, engine = _dispatch(m, method)
-        if engine == "tree":
+        route = m.route or _route(m.graph())
+        if route == "tree":
             poly = tree_tdp(m.graph())
-        elif engine == "brute":
+        elif route == "brute":
             poly = brute_force_tdp(m.graph())
         else:
             if walk is None:
-                walk = _recurrence_terms(engine, m.order)
+                walk = _recurrence_terms("cycle", m.order)
             poly = next(walk)
-        yield poly, {"n": m.order, "method": used, "gamma_t": poly.min_degree(), "coeffs": poly.to_coeff_strings()}
+        yield poly, {"n": m.order, "method": route, "gamma_t": poly.min_degree(), "coeffs": poly.to_coeff_strings()}
 
 
 # -- evaluation points ------------------------------------------------------------
@@ -394,7 +388,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     """poly, and eval when --at gives points: the one-graph case of family."""
     member = _load_member(args)
     points = {token: parse_point(token) for token in args.at or ()}
-    poly, env = next(_solve([member], args.method, points.values()))
+    poly, env = next(_solve([member], points.values()))
     if args.at is not None:
         env["evaluations"] = {token: _jsonable(poly.evaluate(x)) for token, x in points.items()}
     if args.format == "json":
@@ -410,7 +404,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     if args.n_min > args.n_max:
         raise ValueError("--n-min must not exceed --n-max")
     members = (_family_member(args.family, n) for n in range(args.n_min, args.n_max + 1))
-    solved = list(_solve(members, args.method))
+    solved = list(_solve(members))
     out = {"family": args.family, "n_min": args.n_min, "n_max": args.n_max, "items": [env for _, env in solved]}
     if args.format == "json":
         print(json.dumps(out, separators=(",", ":")))

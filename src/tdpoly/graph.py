@@ -320,8 +320,9 @@ def star_graph(n: int) -> Graph:
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Union after shifting g2's labels above g1's."""
-    offset = (max(g1.vertices) + 1) if g1.order else 0
+    """Union after shifting g2's labels so that its smallest lands just above
+    g1's largest."""
+    offset = (max(g1.vertices) + 1 - min(g2.vertices)) if g1.order and g2.order else 0
     shifted_v = [v + offset for v in g2.vertices]
     shifted_e = [(u + offset, v + offset) for u, v in g2.edges]
     return Graph._from_edges(list(g1.vertices) + shifted_v, list(g1.edges) + shifted_e)
@@ -432,17 +433,7 @@ def random_connected_corpus(count: int, n_max: int, seed: int, n_min: int = 2) -
     return out
 
 
-# -- shape recognizers (used for method dispatch) ----------------------------
-
-
-def is_path_shaped(g: Graph) -> bool:
-    """True for P_n as an unlabeled shape, any n >= 1."""
-    if g.order == 0 or not g.is_connected():
-        return False
-    if g.order == 1:
-        return True
-    degs = sorted(g.degree(v) for v in g.vertices)
-    return degs[0] == 1 and degs[1] == 1 and all(d == 2 for d in degs[2:])
+# -- shape recognizers ---------------------------------------------------------
 
 
 def is_cycle_shaped(g: Graph) -> bool:

@@ -33,10 +33,6 @@ from .oracle import brute_force_tdp
 from .polynomial import IntPoly, _add_coeffs, _mul_coeffs, ensure_valid_tdp
 from .reports import VerificationReport
 
-_X = IntPoly.monomial(1)
-_X2 = IntPoly.monomial(2)
-
-
 def _add_shifted(out: list[int], p: IntPoly, shift: int, sign: int = 1) -> None:
     """out += sign * x^shift * p, in place; out is long enough."""
     for i, c in enumerate(p.coeffs, shift):
@@ -324,7 +320,8 @@ def verify_conditioned_path_recurrence(n_max: int = 14) -> VerificationReport:
 
     With D(k) = D_t(P_k){last vertex in W}, conditioned brute force on both
     sides: D(n) = x*D(n-1) + x^2*D(n-3) + x^2*D(n-4) for n >= 5. Each D(k)
-    is enumerated once and shared by the orders that use it.
+    is enumerated once and shared by the orders that use it, and the
+    right-hand side is one shifted sum of degree at most n.
     """
     n_min = 5  # the first order whose four earlier terms are all paths
     report = VerificationReport("claim1", {"n_min": n_min, "n_max": n_max})
@@ -334,13 +331,11 @@ def verify_conditioned_path_recurrence(n_max: int = 14) -> VerificationReport:
         return brute_force_tdp(path_graph(k), required=[k - 1])
 
     for n in range(n_min, n_max + 1):
-        lhs = end_conditioned(n)
-        rhs = (
-            _X * end_conditioned(n - 1)
-            + _X2 * end_conditioned(n - 3)
-            + _X2 * end_conditioned(n - 4)
-        )
-        report.record(path_graph(n), f"n={n}", lhs, rhs)
+        rhs = [0] * (n + 1)
+        _add_shifted(rhs, end_conditioned(n - 1), 1)
+        _add_shifted(rhs, end_conditioned(n - 3), 2)
+        _add_shifted(rhs, end_conditioned(n - 4), 2)
+        report.record(path_graph(n), f"n={n}", end_conditioned(n), IntPoly._of(rhs))
     return report
 
 

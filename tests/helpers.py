@@ -76,6 +76,16 @@ def join(g1, g2):
     return Graph(list(g1.vertices) + shifted_v, list(g1.edges) + shifted_e + cross)
 
 
+def is_path_shaped(g):
+    """True for P_n as an unlabeled shape, any n >= 1."""
+    if g.order == 0 or not g.is_connected():
+        return False
+    if g.order == 1:
+        return True
+    degs = sorted(g.degree(v) for v in g.vertices)
+    return degs[0] == 1 and degs[1] == 1 and all(d == 2 for d in degs[2:])
+
+
 def closed_neighborhood(g, v):
     """N[v]: v together with its neighbours."""
     return g.neighbors(v) | {v}

@@ -9,9 +9,12 @@ import hashlib
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tdpoly
 from tdpoly import cli, closedform, extremal, reduction
@@ -113,11 +116,10 @@ def test_poly_two_corona_base_file(capsys, tmp_path):
 
 
 def test_poly_method_brute_matches_auto(capsys):
-    _, auto_out, _ = run_cli(capsys, ["poly", "--family", "cycle", "--n", "6"])
-    _, brute_out, _ = run_cli(capsys, ["poly", "--family", "cycle", "--n", "6", "--method", "brute"])
-    assert json.loads(auto_out)["coeffs"] == json.loads(brute_out)["coeffs"]
-    assert json.loads(auto_out)["method"] == "recurrence"
-    assert json.loads(brute_out)["method"] == "brute"
+    # the walk's answer for a cycle is the brute-force oracle's
+    _, out, _ = run_cli(capsys, ["poly", "--family", "cycle", "--n", "6"])
+    assert json.loads(out)["method"] == "recurrence"
+    assert envelope_to_poly(json.loads(out)) == brute_force_tdp(cycle_graph(6))
 
 
 def test_poly_byte_identity_across_runs(capsys):
@@ -163,7 +165,7 @@ def test_poly_reports_the_method_dispatched(capsys, tmp_path):
         (["--family", "path", "--n", "5"], "tree"),
         (["--family", "cycle", "--n", "5"], "recurrence"),
         (["--in", str(k4)], "brute"),
-        (["--family", "path", "--n", "6", "--method", "recurrence"], "recurrence"),
+        (["--family", "two-corona", "--n", "2"], "tree"),
     ):
         code, out, err = run_cli(capsys, ["poly", *argv])
         assert code == 0 and err == "", argv
@@ -181,17 +183,12 @@ def test_recurrence_requests_take_one_route(capsys, monkeypatch):
         for name in ("path_tdp", "cycle_tdp"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fail_if_called)
-    requests = [
-        ("poly --family cycle --n 9", cycle_graph),
-        ("eval --family cycle --n 9 --at 2", cycle_graph),
-        ("poly --family path --n 9 --method recurrence", path_graph),
-    ]
-    for argv, maker in requests:
+    for argv in ("poly --family cycle --n 9", "eval --family cycle --n 9 --at 2"):
         code, out, err = run_cli(capsys, argv.split())
         assert code == 0 and err == "", argv
         env = json.loads(out)
         assert env["method"] == "recurrence"
-        assert envelope_to_poly(env) == brute_force_tdp(maker(9)), argv
+        assert envelope_to_poly(env) == brute_force_tdp(cycle_graph(9)), argv
     code, out, err = run_cli(capsys, "family --family cycle --n-min 3 --n-max 9".split())
     assert code == 0 and err == ""
     items = json.loads(out)["items"]
@@ -863,12 +860,11 @@ TREE_32 = """n 32
 # the family, recurrence and "--n-max 300" minus-one entries before family
 # and the suites took their path and cycle terms from one recurrence walk;
 # the "{tree32}", "--n 300" and "--n 200" entries before eval's values and
-# the reports took one encoder; the path and star tables, the brute cycle
-# table and the text cycle before named families were dispatched by their
-# class; the cycle eval at 800, the cycle at 1001 and the two-corona before
-# the walk added only each term's nonzero band and the two-corona member was
-# built lazily. "{graph20}" and "{tree32}" name files holding GRAPH_20 and
-# TREE_32.
+# the reports took one encoder; the path and star tables and the text cycle
+# before named families were dispatched by their class; the cycle eval at
+# 800, the cycle at 1001 and the two-corona before the walk added only each
+# term's nonzero band and the two-corona member was built lazily.
+# "{graph20}" and "{tree32}" name files holding GRAPH_20 and TREE_32.
 SMALL_CALL_DIGESTS = {
     "verify --suite closedform":
         "1a19a903f17843d97498ed60ef2b6c1ed61f6cc9d141e25a78464f3afb8a547e",
@@ -900,10 +896,6 @@ SMALL_CALL_DIGESTS = {
         "c21ba08f966763df1c4d8c16b9116fa7595997058b58103ed01109a89dddb5f9",
     "family --family cycle --n-min 40 --n-max 60 --format text":
         "88d0291db587318dddc58607f83f1137c880c512872afec54ebf7306909e0f5a",
-    "family --family path --n-min 1 --n-max 40 --method recurrence":
-        "821addd9c3e84c4e233cca98885497627d6825ed32e5c18f271f72b8f097e380",
-    "family --family star --n-min 2 --n-max 3 --method recurrence":
-        "13cbb5bb02e5e443a64c4569ee7fbc02dd113f55d0d626203a782c0edf8959f0",
     "verify --suite recurrence --n-max 20":
         "1382cebb67afbfb222fd29cb35dae83aa95534e289a6b248fe82b165d20672dc",
     "verify --suite minus-one --n-max 300 --trials 0":
@@ -918,8 +910,6 @@ SMALL_CALL_DIGESTS = {
         "223494257075aef9c2835c6ae8b1ccc1d35569594bd22d5996e9e1056ed7b638",
     "family --family star --n-min 2 --n-max 30":
         "c72b29421cefdcfdccf41223c4984db12a71e546352a9f83e00fe64f70b53f2f",
-    "family --family cycle --n-min 3 --n-max 12 --method brute":
-        "21e69e85ce3fa6b815d0b20b3a1dd6c810f1874070c46184c54b57be3eda5aa0",
     "poly --family cycle --n 300 --format text":
         "ec5bcf25a0ea93299d733e01ce2474a0db4353f1e9654571e5c072ad966083e9",
     "eval --family cycle --n 800 --at -1 2 0.5":
@@ -942,15 +932,21 @@ def test_small_call_suites_bytes_frozen(capsys, tmp_path, argv):
 
 
 def test_family_errors_stop_at_the_same_member(capsys, monkeypatch):
-    # a member the recurrence does not answer fails where it did before the
-    # walk: S_4 (S_2 and S_3 are paths, answered by the walk)
-    dispatched = []
-    honest = cli._dispatch
-    monkeypatch.setattr(cli, "_dispatch", lambda g, method: dispatched.append(g.order) or honest(g, method))
-    code, out, err = run_cli(capsys, ["family", "--family", "star", "--n-min", "2", "--n-max", "5", "--method", "recurrence"])
-    assert (code, out) == (2, "")
-    assert err == "error: recurrence method applies only to path- or cycle-shaped graphs\n"
-    assert dispatched == [2, 3, 4]
+    # a table is answered member by member: an engine that fails at S_4
+    # fails the table there, prints no row and answers no later member
+    solved = []
+    honest = cli.tree_tdp
+
+    def fail_at_4(g):
+        solved.append(g.order)
+        if g.order == 4:
+            raise InternalConsistencyError("S_4 failed its check")
+        return honest(g)
+
+    monkeypatch.setattr(cli, "tree_tdp", fail_at_4)
+    code, out, err = run_cli(capsys, ["family", "--family", "star", "--n-min", "2", "--n-max", "5"])
+    assert (code, out, err) == (4, "", "error: S_4 failed its check\n")
+    assert solved == [2, 3, 4]
 
 
 def refuse_to_build(*args, **kwargs):
@@ -958,44 +954,30 @@ def refuse_to_build(*args, **kwargs):
 
 
 def test_walk_answered_members_build_no_graph(capsys, monkeypatch):
-    # a named family's class is known from its name and order, so a member
-    # the recurrence answers costs its walk term and nothing more; each
-    # answer, and the star's error at S_4, is the one given with graphs
+    # a named family's route is known from its name, so a member the
+    # recurrence answers costs its walk term and nothing more; each answer
+    # is the one given with graphs
     requests = [
         "family --family cycle --n-min 3 --n-max 40",
         "poly --family cycle --n 30",
         "eval --family cycle --n 30 --at -1 2",
-        "family --family path --n-min 1 --n-max 30 --method recurrence",
-        "poly --family path --n 9 --method recurrence",
-        "family --family star --n-min 2 --n-max 3 --method recurrence",
-        "family --family star --n-min 2 --n-max 5 --method recurrence",
-        "poly --family star --n 3 --method recurrence",
     ]
     with_graphs = [run_cli(capsys, argv.split()) for argv in requests]
     for name in ("path_graph", "cycle_graph", "star_graph"):
         monkeypatch.setattr(cli, name, refuse_to_build)
     assert [run_cli(capsys, argv.split()) for argv in requests] == with_graphs
-    assert [code for code, _, _ in with_graphs] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert [code for code, _, _ in with_graphs] == [0, 0, 0]
 
 
-@pytest.mark.parametrize("method", ["auto", "brute", "recurrence"])
 @pytest.mark.parametrize("family", ["path", "cycle", "star"])
-def test_family_items_are_the_poly_outputs(capsys, family, method):
-    # a family table is its members' poly answers in turn; where one member
-    # fails, the table fails with that member's error and prints nothing
+def test_family_items_are_the_poly_outputs(capsys, family):
+    # a family table is its members' poly answers in turn
     smallest = FAMILY_SMALLEST[family]
-    alone = [
-        run_cli(capsys, ["poly", "--family", family, "--n", str(n), "--method", method])
-        for n in range(smallest, 10)
-    ]
-    argv = ["family", "--family", family, "--n-min", str(smallest), "--n-max", "9", "--method", method]
-    code, out, err = run_cli(capsys, argv)
-    failed = [(c, "", e) for c, _, e in alone if c != 0]
-    if failed:
-        assert (code, out, err) == failed[0]
-    else:
-        assert code == 0 and err == ""
-        assert json.loads(out)["items"] == [json.loads(o) for _, o, _ in alone]
+    alone = [run_cli(capsys, ["poly", "--family", family, "--n", str(n)]) for n in range(smallest, 10)]
+    assert all(code == 0 and err == "" for code, _, err in alone)
+    code, out, err = run_cli(capsys, ["family", "--family", family, "--n-min", str(smallest), "--n-max", "9"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["items"] == [json.loads(o) for _, o, _ in alone]
 
 
 def count_walk_additions(monkeypatch):
@@ -1290,11 +1272,12 @@ def test_usage_errors_exit_2(capsys, argv):
     ],
 )
 def test_method_tree_is_not_a_choice(capsys, argv):
-    # auto already sends every forest to the tree engine, so there is no
-    # tree route to force: tree is refused like any unknown method
-    code, out, err = run_cli(capsys, [*argv.split(), "--method", "tree"])
-    assert (code, out) == (2, "")
-    assert "error: argument --method: invalid choice: 'tree'" in err.splitlines()[-1]
+    # each input's class picks its one route, so there is no method to
+    # choose: --method is refused like any unknown option, whatever its value
+    for method in ("auto", "brute", "recurrence", "tree"):
+        code, out, err = run_cli(capsys, [*argv.split(), "--method", method])
+        assert (code, out) == (2, ""), method
+        assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: --method {method}"), method
 
 
 def test_both_sources_exit_2(capsys, tmp_path):
@@ -1361,13 +1344,15 @@ def test_missing_file_exit_2(capsys, tmp_path):
 
 
 def test_budget_exhaustion_exit_3(capsys, tmp_path):
-    # the oracle's cap is on the whole graph: three disjoint P_10 (n = 30)
-    # are refused too, although each component is small
-    f = tmp_path / "three-p10.txt"
-    f.write_text("n 30\n" + "".join(f"{10 * k + i} {10 * k + i + 1}\n" for k in range(3) for i in range(9)))
-    for argv in (["--family", "path", "--n", "27"], ["--in", str(f)]):
-        code, _, err = run_cli(capsys, ["poly", *argv, "--method", "brute"])
-        assert code == 3
+    # a graph that is neither a forest nor a cycle goes to the oracle, whose
+    # cap is on the whole graph: C_27 with a chord is refused, and so are
+    # three disjoint C_10 (n = 30), although each component is small
+    chorded, three = tmp_path / "chorded-c27.txt", tmp_path / "three-c10.txt"
+    chorded.write_text("n 27\n0 13\n" + "".join(f"{i} {(i + 1) % 27}\n" for i in range(27)))
+    three.write_text("n 30\n" + "".join(f"{10 * k + i} {10 * k + (i + 1) % 10}\n" for k in range(3) for i in range(10)))
+    for f in (chorded, three):
+        code, out, err = run_cli(capsys, ["poly", "--in", str(f)])
+        assert (code, out) == (3, "")
         assert err.startswith("error: brute-force enumeration capped at 26 vertices")
 
 
@@ -1394,11 +1379,11 @@ def test_unexpected_error_exit_4_one_line(capsys, monkeypatch):
 
 def test_out_of_memory_exit_3_one_line(capsys, monkeypatch):
     # running out of memory is a resource limit, not a defect: exit 3, not 4
-    def exhaust(g, method):
+    def exhaust(g):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "_dispatch", exhaust)
-    code, out, err = run_cli(capsys, ["eval", "--family", "cycle", "--n", "7", "--at", "-1"])
+    monkeypatch.setattr(cli, "_route", exhaust)
+    code, out, err = run_cli(capsys, ["eval", "--family", "two-corona", "--n", "3", "--at", "-1"])
     assert code == 3
     assert out == ""
     assert err == "error: out of memory\n"
@@ -1420,7 +1405,7 @@ def test_calls_in_one_process_match_separate_calls(capsys):
         ["verify", "--suite", "claim1", "--n-max", "8"],
         ["--help"],
         ["scan", "--suite", "gamma-bounds", "--n", "6", "--trials", "3", "--seed", "5"],
-        ["poly", "--family", "star", "--n", "5", "--method", "recurrence"],
+        ["family", "--family", "path", "--n-min", "5", "--n-max", "3"],
     ]
     separate = []
     for argv in requests:
@@ -1437,3 +1422,102 @@ def test_zero_poly_text_rendering(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["poly", "--in", str(f), "--format", "text"])
     assert code == 0
     assert "D_t = 0" in out
+
+
+# -- any request ----------------------------------------------------------------
+
+# An admitted request, or one with one fault of a drawn kind, each about
+# half the time. Admitted orders stay small, so every request runs in
+# milliseconds.
+FAULTS = ["value", "option", "file", "point"]
+BAD_VALUES = ["-1", "0", "10000000", "x", "2.5", ""]  # negative, past every cap, not an integer
+POINTS = ["2", "-1", "0", "0.5", "1+2i", "-i", "-1e3", "9" * 400]
+BAD_POINTS = ["abc", "", "inf", "nan", "1e400", "1+1e400i", "1e3e3"]
+REMOVED_OPTIONS = [["--timing"], *(["--method", m] for m in ("auto", "brute", "recurrence", "tree"))]
+# a header in place of the file's own, or lines added to its edges
+HEADER_FAULTS = ["n 100000000", "n 30", "n -2", "n x", "n 5 5", "# no header"]
+LINE_FAULTS = [["0 1", "1 0"], ["0 9"], ["2 2"], ["a b"], ["0 1 2"], ["n 3"]]
+
+
+@st.composite
+def edge_list_files(draw, fault):
+    """An edge-list file's bytes, with any line end and maybe a byte-order
+    mark; a fault replaces the header, adds a duplicate, out-of-range,
+    looped or malformed edge, or ends the file on a byte that is not UTF-8."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"n {n}", "# a comment", *(f"{u} {v}" for u, v in edges)]
+    tail = b""
+    if fault:
+        kind = draw(st.sampled_from(["header", "lines", "bytes"]))
+        if kind == "header":
+            lines[0] = draw(st.sampled_from(HEADER_FAULTS))
+        elif kind == "lines":
+            lines[len(lines):] = draw(st.sampled_from(LINE_FAULTS))
+        else:
+            tail = b"\xff"
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode() + tail
+
+
+@st.composite
+def graph_requests(draw, fault, path):
+    """poly, eval or family on a named family or an edge-list file."""
+    sub = draw(st.sampled_from({"point": ["eval"], "file": ["poly", "eval"]}.get(fault, ["poly", "eval", "family"])))
+    family = draw(st.sampled_from([*cli._FAMILIES] + ([] if sub == "family" else ["two-corona"])))
+    smallest = FAMILY_SMALLEST[family]
+    size = str(draw(st.integers(min_value=smallest, max_value=8)))
+    if sub == "family":
+        return [sub, "--family", family, "--n-min", str(smallest), "--n-max", size]
+    source = draw(st.sampled_from(["in", "base"] if fault == "file" else ["family", "in", "base"]))
+    if source == "family":
+        argv = [sub, "--family", family, "--n", size]
+    else:
+        path.write_bytes(draw(edge_list_files(fault == "file")))
+        argv = [sub, "--in", str(path)] if source == "in" else [sub, "--family", "two-corona", "--base", str(path)]
+    if sub == "eval":
+        points = draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=3))
+        if fault == "point":
+            points[draw(st.integers(0, len(points) - 1))] = draw(st.sampled_from(BAD_POINTS))
+        argv += ["--at", *points]
+    return argv + draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
+
+
+@st.composite
+def suite_requests(draw):
+    """verify or scan on any suite of cli._SUITES, at its smallest orders."""
+    sub = draw(st.sampled_from(sorted(cli._SUITES)))
+    name = draw(st.sampled_from(sorted(cli._SUITES[sub])))
+    suite = cli._SUITES[sub][name]
+    order = suite.smallest + draw(st.integers(0, 1))
+    argv = [sub, "--suite", name, "--n-max" if sub == "verify" else "--n", str(order)]
+    if suite.trials:
+        trials = suite.fewest_trials + draw(st.integers(0, 2))
+        argv += ["--trials", str(trials), "--seed", draw(st.sampled_from(["0", "7", "-3"]))]
+    return argv + (draw(st.sampled_from([[], ["--format", "csv"]])) if sub == "scan" else [])
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(st.data())
+def test_any_request_exits_cleanly(tmp_path_factory, data):
+    # whatever the request, the exit code is a documented one, a refused
+    # request prints nothing, and every failure ends in one error line
+    fault = data.draw(st.none() | st.sampled_from(FAULTS), label="fault")
+    path = tmp_path_factory.getbasetemp() / "request-graph.txt"
+    kinds = [graph_requests(fault, path)] + ([suite_requests()] if fault in (None, "value", "option") else [])
+    argv = data.draw(st.one_of(kinds), label="request")
+    if fault == "value":
+        values = [i for i in range(2, len(argv)) if argv[i - 1].startswith("--")]
+        argv[data.draw(st.sampled_from(values))] = data.draw(st.sampled_from(BAD_VALUES))
+    elif fault == "option":
+        argv += data.draw(st.sampled_from(REMOVED_OPTIONS))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code in (2, 3):
+        assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert "error:" in err.getvalue().splitlines()[-1]

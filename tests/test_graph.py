@@ -16,7 +16,6 @@ from tdpoly.graph import (
     disjoint_union,
     fixed_small_corpus,
     is_cycle_shaped,
-    is_path_shaped,
     is_star_shaped,
     parse_edge_list,
     path_graph,
@@ -28,7 +27,7 @@ from tdpoly.graph import (
     two_corona,
 )
 
-from helpers import all_labeled_trees, join, random_tree, union
+from helpers import all_labeled_trees, is_path_shaped, join, random_tree, union
 
 
 # -- parsing ----------------------------------------------------------------
@@ -169,6 +168,16 @@ def test_components_ordering():
     assert [c.order for c in comps] == [2, 3]
     assert cycle_graph(5).components() == [cycle_graph(5)]
     assert Graph([]).components() == []
+
+
+def test_disjoint_union_keeps_the_sides_apart():
+    # g2 moves as a block to just above g1's largest label, so a label below
+    # g2's smallest cannot land on one of g1's: shifted by g1's largest + 1
+    # alone, (-1, 0) became (1, 2) and the union was P_3
+    both = disjoint_union(Graph([0, 1], [(0, 1)]), Graph([-1, 0], [(-1, 0)]))
+    assert both == Graph(range(4), [(0, 1), (2, 3)])
+    assert [c.order for c in both.components()] == [2, 2]
+    assert disjoint_union(path_graph(2), Graph([5, 7], [(5, 7)])) == Graph([0, 1, 2, 4], [(0, 1), (2, 4)])
 
 
 def reference_components(vertices, edges):

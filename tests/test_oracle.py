@@ -12,7 +12,6 @@ from tdpoly.graph import (
     cycle_graph,
     disjoint_union,
     is_cycle_shaped,
-    is_path_shaped,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -24,6 +23,7 @@ from tdpoly.reduction import cycle_tdp, path_tdp, tree_tdp
 from helpers import (
     all_labeled_graphs,
     holds_for,
+    is_path_shaped,
     is_total_dominating,
     naive_gamma,
     naive_tdp,

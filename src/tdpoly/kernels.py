@@ -31,8 +31,13 @@ behind each cover, and each distinct cover is paired once.
 
 The pairing is bit-sliced set intersection. The low half is one bitset per
 bit position, over the low sub-masks grouped by size with each size
-starting on a 64-bit word; the bitset of bit b is the OR of the fixed
-membership bitsets of the low masks that have b. A high cover is completed
+starting on a 64-bit word; the bitset of bit b marks the low sub-masks
+that meet b's pattern, the set of low masks that have b. Meeting the union
+of two sets means meeting one of them, so the bitset is looked up in two
+cached tables per low width k, one over the patterns of the first
+r = ceil(k/2) low masks and one over those of the rest: table[p & (2^r - 1)]
+OR table'[p >> r]. They take 30 KiB at k = 11 and 207 KiB at k = 13, where
+one table over all 2^k patterns would take 8.6 MiB. A high cover is completed
 by the low sub-masks that cover every target bit it misses (target XOR
 cover), the AND of those bits' bitsets. The ANDs are looked up four bit
 positions at a time, in one 16-entry table per four positions (the
@@ -55,9 +60,10 @@ import numpy as np
 # one target bit per must-meet set.
 MAX_KERNEL_BITS = 62
 
-# Calls with at most this many masks test every subset at once. The split
-# costs about 0.1 ms per call before any pairing; at 16 masks it beats the
-# whole table on dense graphs, at 15 on none tried.
+# Calls with at most this many masks test every subset at once. A split call
+# of 14 masks takes about 60-130 us, nearly all of it before any pairing; at
+# 15 masks the whole table still wins on random trees and at density 0.3, and
+# at 16 the split wins from density 0.3 up (see README).
 _WHOLE_MAX = 15
 
 # Bitset words per block of high covers (128 KiB), so that a call's
@@ -96,9 +102,11 @@ def _fold(high: int, low: int) -> np.ndarray:
 def _layout(k: int):
     """Bitset layout of the 2^k sub-masks of k bits, grouped by size.
 
-    Returns the first word of each size, and one bitset per bit j that is set
-    at the sub-masks containing j, plus one set at every sub-mask (row k).
-    The arrays are shared by every call, so they are read-only.
+    Returns the first word of each size, the bitset set at every sub-mask,
+    and the two pattern tables: row q of the first is set at the sub-masks
+    that hold one of the bits j of q, for j < r = ceil(k/2), and row q of the
+    second at those that hold one of the bits r + j. The arrays are shared
+    by every call, so they are read-only.
     """
     sizes = _sizes(k)
     per_size = np.bincount(sizes, minlength=k + 1)
@@ -112,9 +120,29 @@ def _layout(k: int):
     member = (placed >> np.arange(k)[:, None]) & 1 == 1
     member = np.vstack([member & (placed >= 0), placed >= 0])
     member = np.packbits(member, axis=1, bitorder="little").view("<u8")
-    for a in (starts, member):
+    r = -(-k // 2)
+    tables = []
+    for rows in (member[:r], member[r:k]):
+        table = np.zeros((1 << len(rows), member.shape[1]), dtype=np.uint64)
+        for j, row in enumerate(rows):
+            np.bitwise_or(table[: 1 << j], row, out=table[1 << j : 2 << j])
+        tables.append(table)
+    every = member[k].copy()
+    for a in (starts, every, *tables):
         a.flags.writeable = False
-    return starts, member
+    return starts, every, *tables
+
+
+@lru_cache(maxsize=None)
+def _shape(split: int, chunks: int):
+    """Shift and index arrays of a split call (read-only, shared): the bit
+    positions 0..4*chunks-1 as a column, the weights 2^j of the low masks,
+    and each chunk's shift and first lookup row, as columns."""
+    chunk = np.arange(chunks)[:, None]
+    arrays = (np.arange(4 * chunks)[:, None], 1 << np.arange(split), 4 * chunk, 16 * chunk)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=None)
@@ -156,14 +184,17 @@ def size_counts(neighbor_masks: Sequence[int], target: int) -> np.ndarray:
     masks = np.asarray(neighbor_masks, dtype=np.int64) & target
     split = n // 2
     chunks = max(1, -(-target.bit_length() // 4))
-    # lo[b] marks the low sub-masks whose cover has bit b
-    starts, member = _layout(split)
-    words = member.shape[1]
-    has = (masks[:split] >> np.arange(4 * chunks)[:, None]) & 1 == 1
-    lo = np.bitwise_or.reduce(np.where(has[:, :, None], member[:-1], 0), axis=1)
+    starts, every, first_low, last_low = _layout(split)
+    bits, weights, shift, base = _shape(split, chunks)
+    # pattern[b] holds bit j where low mask j has bit b; lo[b] marks the low
+    # sub-masks that meet it, the union of those meeting its two parts
+    pattern = ((masks[:split] >> bits) & 1) @ weights
+    half = len(first_low).bit_length() - 1  # low masks in the first table
+    lo = first_low[pattern & (1 << half) - 1] | last_low[pattern >> half]
     # lookup[c, v] is the AND of the bitsets of the bits of nibble v in chunk c
+    words = every.size
     lookup = np.empty((chunks, 16, words), dtype=np.uint64)
-    lookup[:, 0] = member[-1]
+    lookup[:, 0] = every
     lo = lo.reshape(chunks, 4, words)
     for j in range(4):
         np.bitwise_and(lookup[:, : 1 << j], lo[:, j, None], out=lookup[:, 1 << j : 2 << j])
@@ -182,13 +213,12 @@ def size_counts(neighbor_masks: Sequence[int], target: int) -> np.ndarray:
     key_of = np.cumsum(first) - 1
     weight = np.bincount(key_of * width + _sizes(n - split)[order], minlength=keys.size * width).reshape(-1, width)
     missing = target ^ keys
-    chunk = np.arange(chunks)[:, None]
     table = np.zeros((width, split + 1), dtype=np.int64)
     step = max(1, _BLOCK // words)
     for s in range(0, keys.size, step):
         b = slice(s, s + step)
         # rows[c] picks each cover's entry of chunk c: its missing bits there
-        rows = (missing[b] >> 4 * chunk) & 15 | 16 * chunk
+        rows = (missing[b] >> shift) & 15 | base
         hit = lookup[rows[0]]
         for r in rows[1:]:
             hit &= lookup[r]

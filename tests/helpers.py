@@ -68,8 +68,9 @@ def union(g1, g2):
 
 
 def join(g1, g2):
-    """Disjoint union plus every edge between the two sides."""
-    offset = (max(g1.vertices) + 1) if g1.order else 0
+    """Disjoint union plus every edge between the two sides; g2's labels are
+    shifted as ``graph.disjoint_union`` shifts them."""
+    offset = (max(g1.vertices) + 1 - min(g2.vertices)) if g1.order and g2.order else 0
     shifted_v = [v + offset for v in g2.vertices]
     shifted_e = [(u + offset, v + offset) for u, v in g2.edges]
     cross = [(u, v) for u in g1.vertices for v in shifted_v]

@@ -342,8 +342,11 @@ def test_union_merges_shared_labels():
 
 
 def test_join_adds_all_cross_edges():
-    j = join(path_graph(2), path_graph(2))
-    assert j.order == 4 and j.size == 2 + 4
+    # two edges joined are K_4, also when the second one's labels reach
+    # below the first one's
+    for second in (path_graph(2), Graph([-1, 0], [(-1, 0)])):
+        j = join(path_graph(2), second)
+        assert j.order == 4 and j.size == 2 + 4
 
 
 def test_two_corona_structure():

@@ -190,6 +190,20 @@ def test_kernel_spans_several_blocks():
     assert brute_force_tdp(two, required=range(15, 26)) == path_tdp(15) * IntPoly.monomial(11)
 
 
+@pytest.mark.parametrize("n", range(16, 27))
+def test_every_split_width_matches_recurrences_and_trees(n):
+    # every split width up to the oracle's n = 26 cap, so both parities of
+    # the low half, of its two pattern tables and of the high half, against
+    # routes that share no code with the kernel: the recurrence walk and the
+    # tree fold
+    assert IntPoly(size_counts(masks_of(path_graph(n)), full(n)).tolist()) == path_tdp(n)
+    assert IntPoly(size_counts(masks_of(cycle_graph(n)), full(n)).tolist()) == cycle_tdp(n)
+    tree = random_tree(n, n)
+    assert IntPoly(size_counts(masks_of(tree), full(n)).tolist()) == tree_tdp(tree)
+    # target bit n, set in every mask, is met by every nonempty subset
+    assert IntPoly(size_counts(masks_of(path_graph(n)) | 1 << n, full(n + 1)).tolist()) == path_tdp(n)
+
+
 def test_sparse_n26_call_memory():
     # blocks bound a call's temporaries; a random tree has many distinct
     # high covers, 1152 here, about ten blocks at n = 26

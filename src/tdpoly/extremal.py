@@ -197,22 +197,18 @@ def scan_tree_bound(n: int) -> ScanReport:
     _, classes = _tree_census(n)
     star_poly = star_tdp(n)
 
-    report = ScanReport(
-        "tree-bound",
-        {"n": n},
-        columns=("poly", "labeled_count", "star_count", "bound_holds", "equals_star_poly", "count_at_one"),
-    )
+    report = ScanReport("tree-bound", {"n": n})
+    rows = report.rows
     for poly in sorted(classes, key=lambda p: p.coeffs):
         cls = classes[poly]
-        report.add_row(
-            poly=poly,
-            labeled_count=cls["labeled_count"],
-            star_count=cls["star_count"],
-            bound_holds=all(poly.coeff(i) <= comb(n - 1, i - 1) for i in range(2, n + 1)),
-            equals_star_poly=poly == star_poly,
-            count_at_one=poly.evaluate(1),
-        )
-    rows = report.rows
+        rows.append({
+            "poly": poly,
+            "labeled_count": cls["labeled_count"],
+            "star_count": cls["star_count"],
+            "bound_holds": all(poly.coeff(i) <= comb(n - 1, i - 1) for i in range(2, n + 1)),
+            "equals_star_poly": poly == star_poly,
+            "count_at_one": poly.evaluate(1),
+        })
     best_count = max(row["count_at_one"] for row in rows)
     best_polys = [row["poly"] for row in rows if row["count_at_one"] == best_count]
     report.summary = {
@@ -244,18 +240,14 @@ def minimal_tree_scan(n: int) -> ScanReport:
     examples = _first_examples(n, poly_of, len(polys))
     minimal_poly = minimal_element(polys)
 
-    report = ScanReport(
-        "minimal-tree",
-        {"n": n},
-        columns=("poly", "labeled_count", "example", "is_minimal"),
-    )
+    report = ScanReport("minimal-tree", {"n": n})
     for poly in polys:
-        report.add_row(
-            poly=poly,
-            labeled_count=classes[poly]["labeled_count"],
-            example=examples[poly],
-            is_minimal=poly == minimal_poly,
-        )
+        report.rows.append({
+            "poly": poly,
+            "labeled_count": classes[poly]["labeled_count"],
+            "example": examples[poly],
+            "is_minimal": poly == minimal_poly,
+        })
     report.summary = {
         "n": n,
         "labeled_trees": sum(cls["labeled_count"] for cls in classes.values()),
@@ -310,23 +302,8 @@ def degree2_row(g: Graph) -> dict:
 
 def scan_degree2(trials: int, n_max: int, seed: int) -> ScanReport:
     """Degree-2 bound and the exact pair identity over a seeded random corpus."""
-    columns = (
-        "graph",
-        "n",
-        "supporting_count",
-        "coeff_n_minus_2",
-        "bound",
-        "degree2_count",
-        "bound_holds",
-        "pair_count",
-        "identity_holds",
-    )
-    report = ScanReport(
-        "degree2", {"trials": trials, "n_max": n_max, "seed": seed}, columns=columns
-    )
-    for g in random_connected_corpus(trials, n_max, seed, n_min=2):
-        report.add_row(**degree2_row(g))
-    rows = report.rows
+    rows = [degree2_row(g) for g in random_connected_corpus(trials, n_max, seed, n_min=2)]
+    report = ScanReport("degree2", {"trials": trials, "n_max": n_max, "seed": seed}, rows)
     report.summary = {
         "instances": len(rows),
         "all_bounds_hold": all(row["bound_holds"] for row in rows),
@@ -404,11 +381,8 @@ def gamma_scan_corpus(trials: int, n_max: int, seed: int) -> list[Graph]:
 
 
 def scan_gamma_bounds(graphs: Iterable[Graph], params: dict | None = None) -> ScanReport:
-    columns = ("graph", "n", "gamma_t", "lower_ok", "upper_ok", "equality", "equality_shape", "consistent")
-    report = ScanReport("gamma-bounds", dict(params or {}), columns=columns)
-    for g in graphs:
-        report.add_row(**gamma_bounds_row(g))
-    rows = report.rows
+    rows = [gamma_bounds_row(g) for g in graphs]
+    report = ScanReport("gamma-bounds", dict(params or {}), rows)
     report.summary = {
         "instances": len(rows),
         "all_ok": all(row["lower_ok"] and row["upper_ok"] and row["consistent"] for row in rows),

@@ -51,13 +51,6 @@ class IntPoly:
     def one(cls) -> "IntPoly":
         return _ONE
 
-    @classmethod
-    def monomial(cls, degree: int) -> "IntPoly":
-        """x**degree"""
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * degree + (1,))
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs

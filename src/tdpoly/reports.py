@@ -1,5 +1,7 @@
 """Report containers for verification suites and extremal scans.
 
+A report is its rows. A scan's columns are its rows' keys, in the order
+the rows list them; a failed identity check is one graph/param/lhs/rhs row.
 JSON serialization keeps exact integers as decimal strings so values
 survive any consumer; key order is fixed by construction, so equal inputs
 serialize to identical bytes.
@@ -17,16 +19,6 @@ from .graph import Graph, to_edge_list
 from .polynomial import IntPoly
 
 
-@dataclass(frozen=True)
-class IdentityFailure:
-    """One instance where the two sides of an identity disagreed."""
-
-    graph: str  # edge-list text of the instance
-    param: str  # which vertex/edge/order the instance used
-    lhs: Any  # exact side (IntPoly, int, or number)
-    rhs: Any  # side under test
-
-
 @dataclass
 class VerificationReport:
     """Outcome of an identity suite: instance count plus any failures."""
@@ -34,7 +26,9 @@ class VerificationReport:
     suite: str
     params: dict[str, Any] = field(default_factory=dict)
     instances: int = 0
-    failures: list[IdentityFailure] = field(default_factory=list)
+    # one {"graph", "param", "lhs", "rhs"} row per failed check: the instance's
+    # edge-list text, the vertex/edge/order it used, the exact side, the side under test
+    failures: list[dict[str, Any]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -44,7 +38,7 @@ class VerificationReport:
         self.record_check(graph, param, lhs == rhs, lhs, rhs)
 
     def record_check(self, graph: Graph | str, param: str, ok: bool, lhs: Any, rhs: Any) -> None:
-        """Tally one instance judged by the caller (approximate comparisons).
+        """Tally one instance judged by the caller.
 
         The instance is its edge-list text, or a Graph that ``to_edge_list``
         formats only when the check fails: most checks pass, and their text
@@ -53,23 +47,15 @@ class VerificationReport:
         self.instances += 1
         if not ok:
             text = graph if isinstance(graph, str) else to_edge_list(graph)
-            self.failures.append(IdentityFailure(text, param, lhs, rhs))
+            self.failures.append({"graph": text, "param": param, "lhs": lhs, "rhs": rhs})
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "suite": self.suite,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
+            "params": _jsonable(self.params),
             "instances": self.instances,
             "passed": self.passed,
-            "failures": [
-                {
-                    "graph": f.graph,
-                    "param": f.param,
-                    "lhs": _jsonable(f.lhs),
-                    "rhs": _jsonable(f.rhs),
-                }
-                for f in self.failures
-            ],
+            "failures": _jsonable(self.failures),
         }
 
     def to_json(self) -> str:
@@ -81,13 +67,14 @@ class ScanReport:
     """Per-instance records of an extremal scan plus a summary block.
 
     Every row carries the numeric facts its own flags were derived from, so
-    a reader can recompute `holds`/`equality` from the row alone. The scan
-    passes when every summary flag named in `checks` holds.
+    a reader can recompute `holds`/`equality` from the row alone. The
+    columns are the first row's keys; every row lists the same keys in the
+    same order. The scan passes when every summary flag named in `checks`
+    holds.
     """
 
     suite: str
     params: dict[str, Any] = field(default_factory=dict)
-    columns: tuple[str, ...] = ()
     rows: list[dict[str, Any]] = field(default_factory=list)
     summary: dict[str, Any] = field(default_factory=dict)
     checks: tuple[str, ...] = ()
@@ -96,18 +83,13 @@ class ScanReport:
     def passed(self) -> bool:
         return all(self.summary[key] for key in self.checks)
 
-    def add_row(self, **values: Any) -> None:
-        if tuple(values) != self.columns:
-            raise ValueError(f"row keys {tuple(values)} do not match columns {self.columns}")
-        self.rows.append(values)
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "suite": self.suite,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
-            "columns": list(self.columns),
-            "rows": [{k: _jsonable(v) for k, v in row.items()} for row in self.rows],
-            "summary": {k: _jsonable(v) for k, v in self.summary.items()},
+            "params": _jsonable(self.params),
+            "columns": list(self.rows[0]) if self.rows else [],
+            "rows": _jsonable(self.rows),
+            "summary": _jsonable(self.summary),
         }
 
     def to_json(self) -> str:
@@ -116,9 +98,9 @@ class ScanReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
+        writer.writerow(list(self.rows[0]) if self.rows else [])
         for row in self.rows:
-            writer.writerow([_csv_cell(row[c]) for c in self.columns])
+            writer.writerow(map(_csv_cell, row.values()))
         return buf.getvalue()
 
 
@@ -139,6 +121,8 @@ def _jsonable(value: Any) -> Any:
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
     return value
 
 

@@ -52,6 +52,11 @@ def fraction_horner(coeffs, re, im=0):
     return acc_re, acc_im
 
 
+def monomial(degree):
+    """x**degree"""
+    return IntPoly((0,) * degree + (1,))
+
+
 def from_coeff_strings(strings):
     """Inverse of ``IntPoly.to_coeff_strings``."""
     return IntPoly(int(s) for s in strings)
@@ -232,9 +237,9 @@ def simple_vertex_reduction_rhs(g, u):
     if not simple_vertex_reduction_applies(g, u):
         raise ValueError(f"short vertex reduction does not apply at vertex {u}")
     rhs = brute_force_tdp(g.delete_vertex(u))
-    rhs = rhs + IntPoly.monomial(1) * brute_force_tdp(g.contract_vertex(u))
+    rhs = rhs + monomial(1) * brute_force_tdp(g.contract_vertex(u))
     for v in sorted(g.neighbors(u)):
-        rhs = rhs + IntPoly.monomial(2) * indicator_tdp(g.without_closed_neighborhoods([u, v]))
+        rhs = rhs + monomial(2) * indicator_tdp(g.without_closed_neighborhoods([u, v]))
     return rhs
 
 

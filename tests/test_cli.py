@@ -25,7 +25,7 @@ from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import cycle_tdp, path_tdp
 from tdpoly.reports import VerificationReport
 
-from helpers import envelope_to_poly, fraction_horner
+from helpers import envelope_to_poly, fraction_horner, monomial
 
 
 def run_cli(capsys, argv):
@@ -689,6 +689,12 @@ def test_closedform_fails_on_a_value_off_by_one_unit(capsys, monkeypatch):
     assert report["failures"] == [
         {"graph": "", "param": "path n=12 x=2.0", "lhs": "107584", "rhs": str(exact + Fraction(1, 36 * 2**12))}
     ]
+    # the bytes too: a failure row's keys print as graph, param, lhs, rhs
+    assert out == (
+        '{"suite":"closedform","params":{"n_max":"12","points":[1.0,2.0,-2.0,0.5,-1.0,-0.5]},'
+        '"instances":132,"passed":false,"failures":[{"graph":"","param":"path n=12 x=2.0",'
+        '"lhs":"107584","rhs":"15863906305/147456"}]}\n'
+    )
 
 
 @pytest.mark.parametrize("suite", ["tree-bound", "minimal-tree"])
@@ -863,7 +869,8 @@ TREE_32 = """n 32
 # the reports took one encoder; the path and star tables and the text cycle
 # before named families were dispatched by their class; the cycle eval at
 # 800, the cycle at 1001 and the two-corona before the walk added only each
-# term's nonzero band and the two-corona member was built lazily.
+# term's nonzero band and the two-corona member was built lazily; the two
+# CSV scans before a scan's columns became its rows' keys.
 # "{graph20}" and "{tree32}" name files holding GRAPH_20 and TREE_32.
 SMALL_CALL_DIGESTS = {
     "verify --suite closedform":
@@ -886,6 +893,10 @@ SMALL_CALL_DIGESTS = {
         "3e6f23edd0fe5842a55500adb4daa0ce053ba459b9beb3db40d821e3ca13e52f",
     "scan --suite gamma-bounds --n 8 --trials 3 --seed 5":
         "ee7f10da71f42da2ae1e89647688fe2135f6442a693a55a89a0a11f5e3a271e6",
+    "scan --suite degree2 --n 10 --trials 12 --seed 5 --format csv":
+        "6f1b4c05545b2d36edd8402f7c7906303e47335dd99d44bd6c23b4e3f023f938",
+    "scan --suite gamma-bounds --n 8 --trials 3 --seed 5 --format csv":
+        "3b289f3f1f6d038e46be45876623e473c7bc74f22b7ea74228f205ab2c3b3dc0",
     "verify --suite minus-one --trials 60 --seed 5":
         "91ec1fc125235a1356e6cb405d220f671efa9805d0c01b738f09659597f2d7dd",
     "poly --in {graph20}":
@@ -1200,7 +1211,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
         terms = honest(family, n)
         if family != "path":
             return terms
-        return (poly + IntPoly.monomial(k + 1) for k, poly in enumerate(terms, n))
+        return (poly + monomial(k + 1) for k, poly in enumerate(terms, n))
 
     monkeypatch.setattr(reduction, "_recurrence_terms", wrong_paths)
     code, out, err = run_cli(capsys, ["verify", "--suite", "recurrence", "--n-max", "4"])

@@ -353,7 +353,7 @@ def test_gamma_row_fails_on_a_wrong_min_degree(monkeypatch):
     real = IntPoly.min_degree
     monkeypatch.setattr(IntPoly, "min_degree", lambda p: None if real(p) is None else real(p) + 1)
     report = verify_basic_identities(corpus)
-    failed = {f.param for f in report.failures}
+    failed = {f["param"] for f in report.failures}
     assert failed == {"gamma-is-min-degree"}
     assert len(report.failures) == len(corpus)
 
@@ -410,7 +410,7 @@ def test_prop1_supporting_row_fails_on_a_wrong_support_count(monkeypatch):
     real = extremal.classify_vertices
     monkeypatch.setattr(extremal, "classify_vertices", lambda g: replace(real(g), supporting=frozenset()))
     report = verify_basic_identities(corpus)
-    assert [(f.graph, f.param) for f in report.failures] == [
+    assert [(f["graph"], f["param"]) for f in report.failures] == [
         (to_edge_list(path_graph(4)), "supporting-identity"),
         (to_edge_list(star_graph(5)), "supporting-identity"),
     ]

@@ -12,7 +12,7 @@ from tdpoly.oracle import brute_force_tdp
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import cycle_tdp, path_tdp, tree_tdp
 
-from helpers import holds_for, naive_counts, naive_size_counts, naive_tdp_filtered, random_tree
+from helpers import holds_for, monomial, naive_counts, naive_size_counts, naive_tdp_filtered, random_tree
 
 
 def masks_of(g):
@@ -187,7 +187,7 @@ def test_kernel_spans_several_blocks():
     # P_15 + P_11 with the P_11 required whole: its bits leave the target,
     # 15 candidates remain, and the count is x^11 D_t(P_15)
     two = disjoint_union(path_graph(15), path_graph(11))
-    assert brute_force_tdp(two, required=range(15, 26)) == path_tdp(15) * IntPoly.monomial(11)
+    assert brute_force_tdp(two, required=range(15, 26)) == path_tdp(15) * monomial(11)
 
 
 @pytest.mark.parametrize("n", range(16, 27))

@@ -9,9 +9,9 @@ from tdpoly.polynomial import IntPoly, ensure_valid_tdp
 
 from tdpoly.reduction import cycle_tdp
 
-from helpers import coeffwise_le, fraction_horner, from_coeff_strings, poly_arith
+from helpers import coeffwise_le, fraction_horner, from_coeff_strings, monomial, poly_arith
 
-X2 = IntPoly.monomial(2)
+X2 = monomial(2)
 P4 = IntPoly((0, 0, 1, 2, 1))  # x^4 + 2x^3 + x^2
 
 
@@ -55,7 +55,7 @@ def test_shared_zero_and_one_are_unchanged_by_arithmetic():
     zero, one = IntPoly.zero(), IntPoly.one()
     p = IntPoly((0, 0, 2, 1))
     assert (one + p) * (zero + one) - zero == IntPoly((1, 0, 2, 1))
-    assert zero * IntPoly.monomial(3) == zero and one * IntPoly.monomial(2) == X2
+    assert zero * monomial(3) == zero and one * monomial(2) == X2
     assert IntPoly.zero().coeffs == () and IntPoly.one().coeffs == (1,)
 
 

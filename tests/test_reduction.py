@@ -40,6 +40,7 @@ from helpers import (
     all_labeled_graphs,
     all_labeled_trees,
     indicator_tdp,
+    monomial,
     naive_tdp,
     random_tree,
     simple_vertex_reduction_applies,
@@ -166,20 +167,20 @@ def vertex_expansion(g, u):
     """Theorem 1's right-hand side written out term by term in IntPoly arithmetic."""
     nbrs = sorted(g.neighbors(u))
     contracted = g.contract_vertex(u)
-    rhs = brute_force_tdp(g.delete_vertex(u)) + IntPoly.monomial(1) * brute_force_tdp(contracted)
+    rhs = brute_force_tdp(g.delete_vertex(u)) + monomial(1) * brute_force_tdp(contracted)
     rhs = rhs - IntPoly((1, 1)) * brute_force_tdp(contracted, forbidden=nbrs)
     for v in nbrs:
-        rhs = rhs + IntPoly.monomial(2) * _indicator(g.without_closed_neighborhoods([u, v]))
+        rhs = rhs + monomial(2) * _indicator(g.without_closed_neighborhoods([u, v]))
     return rhs
 
 
 def edge_expansion(g, u, v):
     """Theorem 3's six terms written out in IntPoly arithmetic."""
     minus_e = g.delete_edge(u, v)
-    rhs = brute_force_tdp(minus_e) + IntPoly.monomial(2) * _indicator(g.without_closed_neighborhoods([u, v]))
+    rhs = brute_force_tdp(minus_e) + monomial(2) * _indicator(g.without_closed_neighborhoods([u, v]))
     for anchor, removed in ((v, u), (u, v)):
         remainder = minus_e.without_closed_neighborhoods([removed])
-        rhs = rhs + IntPoly.monomial(1) * brute_force_tdp(remainder, required=[anchor])
+        rhs = rhs + monomial(1) * brute_force_tdp(remainder, required=[anchor])
         alive = set(remainder.vertices)
         dominators = [set(minus_e.neighbors(z)) & alive for z in minus_e.neighbors(removed)]
         if all(dominators):
@@ -541,14 +542,14 @@ def test_failures_carry_the_instance_edge_list(monkeypatch):
     p3 = Graph([2, 5, 7], [(2, 5), (5, 7)])
     c4 = Graph([1, 3, 4, 9], [(1, 3), (3, 4), (4, 9), (9, 1)])
     report = verify_vertex_reduction([p3])
-    assert [(f.graph, f.param) for f in report.failures] == [("n 3\n0 1\n1 2", f"u={u}") for u in (2, 5, 7)]
+    assert [(f["graph"], f["param"]) for f in report.failures] == [("n 3\n0 1\n1 2", f"u={u}") for u in (2, 5, 7)]
     report = verify_edge_reduction([c4])
     want = [("n 4\n0 1\n0 3\n1 2\n2 3", f"e={e}") for e in ("(1,3)", "(1,9)", "(3,4)", "(4,9)")]
-    assert [(f.graph, f.param) for f in report.failures] == want
+    assert [(f["graph"], f["param"]) for f in report.failures] == want
     oracle = _off_by_one(brute_force_tdp, lambda g, conditions: g.order == 5)
     monkeypatch.setattr(reduction, "brute_force_tdp", oracle)
     report = verify_recurrences(n_max=6)
-    assert [(f.graph, f.param) for f in report.failures] == [
+    assert [(f["graph"], f["param"]) for f in report.failures] == [
         ("n 5\n0 1\n1 2\n2 3\n3 4", "path n=5"),
         ("n 5\n0 1\n0 4\n1 2\n2 3\n3 4", "cycle n=5"),
     ]

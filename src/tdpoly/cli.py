@@ -160,9 +160,18 @@ class _Member(NamedTuple):  # one graph to solve
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in subparsers:
+            # the subcommand's own parser reads the rest, as the full parser
+            # would hand it on, and what it leaves is refused the same way
+            args, extra = subparsers[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.subcommand = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
@@ -187,10 +196,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's parser by name, built once
+    per process.
 
-    Parsing keeps no state in the parser, so every main() call can share it.
+    Parsing keeps no state in the parsers, so every main() call can share them.
     """
     parser = argparse.ArgumentParser(
         prog="tdpoly", description="Total domination polynomial toolkit."
@@ -242,7 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--seed", type=int)
     p_scan.add_argument("--format", choices=("json", "csv"), default="json")
     p_scan.set_defaults(run=_cmd_suite, order_flag="--n")
-    return parser
+    subparsers = {"poly": p_poly, "family": p_family, "eval": p_eval, "verify": p_verify, "scan": p_scan}
+    return parser, subparsers
 
 
 # -- graph sources -------------------------------------------------------------
@@ -272,9 +283,10 @@ def _load_member(args: argparse.Namespace) -> _Member:
 
 
 def _read_edge_list(path: str) -> tuple[int, dict[tuple[int, int], None]]:
-    # one bytes read and one decode cost less than a text-mode read; the parser splits
+    # one unbuffered bytes read and one decode cost less than a text-mode or
+    # buffered read (no buffer to build, no isatty probe); the parser splits
     # "\r\n" and "\r" as text mode would, and drops a leading byte-order mark
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         return _parse_edge_lines(fh.read().decode("utf-8"))
 
 

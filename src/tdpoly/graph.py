@@ -438,7 +438,13 @@ def random_connected_corpus(count: int, n_max: int, seed: int, n_min: int = 2) -
 
 def is_cycle_shaped(g: Graph) -> bool:
     """True for C_n as an unlabeled shape, n >= 3."""
-    return g.order >= 3 and all(g.degree(v) == 2 for v in g.vertices) and g.is_connected()
+    # as many edges as vertices rules out most graphs before a degree is read
+    return (
+        g.order >= 3
+        and g.size == g.order
+        and all(len(nbrs) == 2 for nbrs in g._adj.values())
+        and g.is_connected()
+    )
 
 
 def is_star_shaped(g: Graph) -> bool:

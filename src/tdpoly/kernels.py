@@ -17,17 +17,28 @@ that have b, and the count of size i is the popcount of ``by_size[i]`` AND
 those ORs over the target bits. Most calls are this small.
 
 Wider calls are split meet-in-the-middle, in the style of Horowitz-Sahni
-(JACM 1974): a subset is a low half (its first n//2 masks) joined to a high
-half. The masks are ANDed with the target once and keep their bit
-positions; a position outside the target is then in no mask and never
-missing, so the split does not renumber the target bits. Whether a high
-sub-mask completes a low one depends only on its cover, and wide high
-halves have far fewer distinct covers than sub-masks (38-653 of 512-2048 on
-random connected graphs with n = 18-22). So the high half's covers are
-built by doubling in an int64 array, cover[2^j:2^(j+1)] = cover[:2^j] | m_j,
-and grouped by one sort: equal covers form a run, and a run starts where
-the cover changes. A weight table counts the high sub-masks of each size
-behind each cover, and each distinct cover is paired once.
+(JACM 1974): a subset of n masks is a low half (its first s masks) joined
+to a high half (the other n - s), with s = max(n//2, min(n - 6, 12)). The
+balance is set by per-call time measured cold, after a pure-Python loop
+that evicts the kernel's working set: a wider low half has longer bitsets
+(below), a wider high half more covers to double and sort. Median us per
+cold call on random connected graphs, s = n//2 (the balanced split)
+against this s (2 cores, Python 3.11, numpy 2.4; README has every s):
+
+    n      16   17   18   19   20   21   22   23   24   25   26
+    n//2  130  150  160  177  205  303  373  500  658 1016 1390
+    s     112  118  130  147  176  254  330  434  658 1016 1390
+
+The masks are ANDed with the target once and keep their bit positions; a
+position outside the target is then in no mask and never missing, so the
+split does not renumber the target bits. Whether a high sub-mask completes
+a low one depends only on its cover, and high halves have fewer distinct
+covers than sub-masks (17-415 of 64-1024 on random connected graphs with
+n = 18-22). So the high half's covers are built by doubling in an int64
+array, cover[2^j:2^(j+1)] = cover[:2^j] | m_j, and grouped by one sort:
+equal covers form a run, and a run starts where the cover changes. A
+weight table counts the high sub-masks of each size behind each cover,
+and each distinct cover is paired once.
 
 The pairing is bit-sliced set intersection. The low half is one bitset per
 bit position, over the low sub-masks grouped by size with each size
@@ -36,7 +47,7 @@ that meet b's pattern, the set of low masks that have b. Meeting the union
 of two sets means meeting one of them, so the bitset is looked up in two
 cached tables per low width k, one over the patterns of the first
 r = ceil(k/2) low masks and one over those of the rest: table[p & (2^r - 1)]
-OR table'[p >> r]. They take 30 KiB at k = 11 and 207 KiB at k = 13, where
+OR table'[p >> r]. They take 73 KiB at k = 12 and 207 KiB at k = 13, where
 one table over all 2^k patterns would take 8.6 MiB. A high cover is completed
 by the low sub-masks that cover every target bit it misses (target XOR
 cover), the AND of those bits' bitsets. The ANDs are looked up four bit
@@ -60,10 +71,12 @@ import numpy as np
 # one target bit per must-meet set.
 MAX_KERNEL_BITS = 62
 
-# Calls with at most this many masks test every subset at once. A split call
-# of 14 masks takes about 60-130 us, nearly all of it before any pairing; at
-# 15 masks the whole table still wins on random trees and at density 0.3, and
-# at 16 the split wins from density 0.3 up (see README).
+# Calls with at most this many masks test every subset at once. A cold split
+# call of 14 masks takes about 90-100 us, nearly all of it before any
+# pairing; at 15 masks the whole table still wins on random trees and sparse
+# graphs, as the suites' calls of that size are, and at 16 the split wins at
+# every density (see README). A cutoff on masks x target bits would only move
+# calls of 16 masks with at most 4 target bits, by about 10 %.
 _WHOLE_MAX = 15
 
 # Bitset words per block of high covers (128 KiB), so that a call's
@@ -182,7 +195,9 @@ def size_counts(neighbor_masks: Sequence[int], target: int) -> np.ndarray:
     # bits outside the target leave the masks; a chunk is four consecutive
     # bit positions, and a position outside the target is never missing
     masks = np.asarray(neighbor_masks, dtype=np.int64) & target
-    split = n // 2
+    # the low half takes up to 12 masks while the high half keeps 6 or more,
+    # and half of them (rounded down) from 24 masks up
+    split = max(n // 2, min(n - 6, 12))
     chunks = max(1, -(-target.bit_length() // 4))
     starts, every, first_low, last_low = _layout(split)
     bits, weights, shift, base = _shape(split, chunks)

@@ -1350,8 +1350,11 @@ def test_parser_drops_a_leading_byte_order_mark():
 
 
 def test_missing_file_exit_2(capsys, tmp_path):
-    code, _, _ = run_cli(capsys, ["poly", "--in", str(tmp_path / "absent.txt")])
-    assert code == 2
+    # the operating system's message, for a missing file and for a directory
+    absent = tmp_path / "absent.txt"
+    for path, message in ((absent, "[Errno 2] No such file or directory"), (tmp_path, "[Errno 21] Is a directory")):
+        code, out, err = run_cli(capsys, ["poly", "--in", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}: {str(path)!r}\n")
 
 
 def test_budget_exhaustion_exit_3(capsys, tmp_path):
@@ -1425,6 +1428,36 @@ def test_calls_in_one_process_match_separate_calls(capsys):
     shared = [run_cli(capsys, argv)[:2] for argv in requests + requests]
     assert shared == separate + separate
     assert [code for code, _ in separate] == [0, 2, 0, 0, 0, 0, 2]
+
+
+def test_subcommand_parse_matches_the_full_parser(capsys, monkeypatch, tmp_path):
+    # main() hands an argv that starts with a subcommand name to that
+    # subcommand's parser alone; with no subcommand parsers it parses every
+    # argv through the full parser, as argparse does. Both must give the same
+    # exit code, stdout and stderr: help, usage errors and refusals included
+    f = tmp_path / "c4.txt"
+    f.write_text("n 4\n0 1\n1 2\n2 3\n3 0\n")
+    requests = [
+        [], ["-h"], ["--help"], ["-x", "poly"], ["--", "poly"], ["nope", "x"],
+        ["poly"], ["poly", "-h"], ["poly", "--he"], ["poly", "--i", str(f)], ["poly", "--in"],
+        ["poly", "--family", "path", "--n", "4", "--method", "auto"],
+        ["poly", "--in", str(f), "extra"],
+        ["eval", "--in", str(f), "--at", "-1", "-1+2i", "-i"],
+        ["poly", "--family", "path", "--n", "4", "-h"],
+        ["poly", "--", "x"], ["scan"], ["verify", "--suite", "nope"],
+        ["family", "--family", "cycle", "--n-min", "3", "--n-max", "5", "a", "b"],
+        ["poly", "--in", str(tmp_path)],
+    ]
+    split = [run_cli(capsys, argv) for argv in requests]
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    whole = [run_cli(capsys, argv) for argv in requests]
+    assert split == whole
+    assert [code for code, _, _ in split] == [2, 0, 0, 2, 2, 2, 2, 0, 0, 0, 2, 2, 2, 0, 0, 2, 2, 2, 2, 2]
+    # no argv reads the process's own arguments, past the program name
+    monkeypatch.undo()
+    monkeypatch.setattr(sys, "argv", ["tdpoly", "poly", "--in", str(f)])
+    assert run_cli(capsys, None) == run_cli(capsys, ["poly", "--in", str(f)])
 
 
 def test_zero_poly_text_rendering(capsys, tmp_path):

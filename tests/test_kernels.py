@@ -83,10 +83,14 @@ def test_uncovered_target_bit_counts_nothing():
     assert size_counts(masks_of(path_graph(16)), full(17)).tolist() == [0] * 17
 
 
+# masks in the low half of a split call, by mask count: up to 12 while the
+# high half keeps 6 or more, and half of them (rounded down) from 24 up
+SPLITS = {n: low for n, low in zip(range(16, 27), [10, 11] + [12] * 8 + [13])}
+
+
 def distinct_high_covers(nbr):
     """How many distinct covers the high half's sub-masks have (plain Python)."""
-    n = len(nbr)
-    high = [int(m) for m in nbr[n // 2 :]]
+    high = [int(m) for m in nbr[SPLITS[len(nbr)] :]]
     covers = set()
     for sub in range(1 << len(high)):
         cover = 0
@@ -100,7 +104,7 @@ def distinct_high_covers(nbr):
 def covers_per_block(n):
     """How many distinct high covers one block pairs: the block's words over
     the low half's bitset words, one word or more per sub-mask size."""
-    low = n // 2
+    low = SPLITS[n]
     return kernels._BLOCK // sum(-(-comb(low, s) // 64) for s in range(low + 1))
 
 
@@ -172,8 +176,8 @@ def test_kernel_matches_naive_at_every_regime(n):
 
 
 def test_kernel_spans_several_blocks():
-    # a block pairs 2^14 bitset words' worth of distinct high covers: 409 at
-    # n = 22 and 23, so both graphs below span several blocks
+    # a block pairs 2^14 bitset words' worth of distinct high covers: 224 at
+    # n = 22 and 23 (12 low masks), so both graphs below span several blocks
     p22 = masks_of(path_graph(22))
     c23 = masks_of(cycle_graph(23))
     assert distinct_high_covers(p22) > covers_per_block(22)
@@ -202,6 +206,51 @@ def test_every_split_width_matches_recurrences_and_trees(n):
     assert IntPoly(size_counts(masks_of(tree), full(n)).tolist()) == tree_tdp(tree)
     # target bit n, set in every mask, is met by every nonempty subset
     assert IntPoly(size_counts(masks_of(path_graph(n)) | 1 << n, full(n + 1)).tolist()) == path_tdp(n)
+
+
+def inclusion_exclusion_counts(masks, target):
+    """Subsets of the masks covering the target, by size, with no enumeration
+    of subsets: sum over sets S of target bits of (-1)^|S| C(a_S, i), where
+    a_S masks miss all of S. Costs 2^(target bits) steps."""
+    bits = [1 << b for b in range(target.bit_length()) if target >> b & 1]
+    signed = [0] * (len(masks) + 1)  # signed[a]: the sum of the signs of the S with a_S = a
+    for pick in range(1 << len(bits)):
+        s = sum(bit for j, bit in enumerate(bits) if pick >> j & 1)
+        signed[sum(1 for m in masks if not m & s)] += (-1) ** pick.bit_count()
+    return [sum(c * comb(a, i) for a, c in enumerate(signed)) for i in range(len(masks) + 1)]
+
+
+def test_inclusion_exclusion_counts_match_naive():
+    rng = random.Random(5)
+    for n in range(11):
+        masks = [rng.getrandbits(n + 3) for _ in range(n)]
+        for target in (0, full(n + 3), rng.getrandbits(n + 3)):
+            assert inclusion_exclusion_counts(masks, target) == naive_size_counts(masks, target)
+
+
+@pytest.mark.parametrize("n", range(16, 27))
+def test_conditioned_split_calls_match_inclusion_exclusion(n):
+    # a conditioned call: the neighbourhoods of a random graph, 5-7 vertex
+    # bits left in the target (the rest dominated by required vertices) and
+    # 2-3 must-meet sets as virtual target bits above n, the last one the
+    # kernel's top bit. Enumerating the subsets of 26 masks in Python takes
+    # minutes, so the reference counts by inclusion-exclusion over the
+    # target's bits
+    rng = random.Random(n)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.3:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    virtual = [n + j for j in range(rng.randint(1, 2))] + [kernels.MAX_KERNEL_BITS - 1]
+    for bit in virtual:
+        for v in rng.sample(range(n), rng.randint(1, 4)):
+            adj[v] |= 1 << bit
+    target = sum(1 << b for b in rng.sample(range(n), rng.randint(5, 7)) + virtual)
+    expected = inclusion_exclusion_counts(adj, target)
+    assert sum(expected) > 0, (adj, target)
+    assert size_counts(adj, target).tolist() == expected, (adj, target)
 
 
 def test_sparse_n26_call_memory():
@@ -251,11 +300,13 @@ def test_complete_graph_with_nonempty_atom(atom):
 @pytest.mark.parametrize(
     "side_a, n",
     [
-        (range(10), 20),  # the sides are the two halves
+        (range(10), 20),  # the sides split at bit 10
         (range(0, 21, 2), 21),  # the sides interleave across both halves
         (range(7), 22),
         (range(3, 11), 22),
-    ],
+    ]
+    # side A is the split's low half, one mask less or one mask more
+    + [(range(SPLITS[n] + d), n) for n in (16, 20, 22, 24, 26) for d in (-1, 0, 1)],
 )
 def test_complete_bipartite_counts(side_a, n):
     # W totally dominates K_{a,b} iff it meets both sides

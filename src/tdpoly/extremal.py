@@ -7,18 +7,17 @@ brute-force oracle, and summaries report what the data showed -- including
 outcomes that cut against expectations.
 
 The two tree scans count labeled trees without listing them. They run the
-oracle once per unlabeled tree and weight it by n!/|Aut(T)|, the number of
-labelings of T; the weights must add up to Cayley's n^(n-2). Only the
-minimal-tree scan's example column walks labeled trees, in Pruefer order,
-naming each one's class by its canonical form.
+oracle once per unlabeled tree and weight it by its number of labelings,
+counted while the trees are grown leaf by leaf; the weights must add up to
+Cayley's n^(n-2). Only the minimal-tree scan's example column walks labeled
+trees, in Pruefer order, naming each one's class by its canonical form.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from itertools import product
-from math import comb, factorial
+from math import comb
 from typing import Iterable
 
 from .closedform import star_tdp
@@ -60,33 +59,17 @@ def _centres(adj: list[list[int]]) -> list[int]:
     return layer
 
 
-def _rooted_form(adj: list[list[int]], v: int, parent: int) -> tuple[str, int]:
-    """AHU form of the subtree at v (away from parent) and its automorphism count.
-
-    A rooted automorphism permutes isomorphic child subtrees among
-    themselves and acts inside each one, so the count is the product of the
-    children's counts times m! for each child form occurring m times.
-    """
-    forms = []
-    aut = 1
-    for c in adj[v]:
-        if c != parent:
-            form, child_aut = _rooted_form(adj, c, v)
-            forms.append(form)
-            aut *= child_aut
-    for m in Counter(forms).values():
-        aut *= factorial(m)
-    forms.sort()
-    return "(" + "".join(forms) + ")", aut
+def _rooted_form(adj: list[list[int]], v: int, parent: int) -> str:
+    """AHU form of the subtree at v, away from parent."""
+    return "(" + "".join(sorted(_rooted_form(adj, c, v) for c in adj[v] if c != parent)) + ")"
 
 
-def tree_signature(n: int, edges: Iterable[tuple[int, int]]) -> tuple[str, int]:
-    """Canonical form of a tree on 0..n-1 and the order of its automorphism group.
+def tree_signature(n: int, edges: Iterable[tuple[int, int]]) -> str:
+    """Canonical form of a tree on 0..n-1.
 
     The AHU form (Aho, Hopcroft, Ullman 1974) is taken at the centre; a
-    bicentral tree is rooted at its central edge, and its two halves add an
-    automorphism that swaps them when they are isomorphic. Isomorphic trees,
-    and only they, get equal forms.
+    bicentral tree is rooted at its central edge. Isomorphic trees, and
+    only they, get equal forms.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -96,52 +79,56 @@ def tree_signature(n: int, edges: Iterable[tuple[int, int]]) -> tuple[str, int]:
     if len(centres) == 1:
         return _rooted_form(adj, centres[0], -1)
     a, b = centres
-    form_a, aut_a = _rooted_form(adj, a, b)
-    form_b, aut_b = _rooted_form(adj, b, a)
-    swap = 2 if form_a == form_b else 1
-    lo, hi = sorted((form_a, form_b))
-    return "[" + lo + hi + "]", swap * aut_a * aut_b
+    return "[" + "".join(sorted((_rooted_form(adj, a, b), _rooted_form(adj, b, a)))) + "]"
 
 
 def free_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], str, int]]:
-    """One tree on 0..n-1 per isomorphism class: (edges, canonical form, |Aut|).
+    """One tree on 0..n-1 per isomorphism class: (edges, canonical form, labelings).
 
     Leaf augmentation: every tree of order k + 1 is a tree of order k plus
     one leaf, so growing each class representative at every vertex and
     keeping the first tree of each form lists every class exactly once. The
     work is about (number of classes) * n canonical forms per order; there
     are 47 classes at n = 9 and 106 at n = 10.
+
+    The same pass counts labelings. Of the L(T') labeled trees on 0..k of
+    shape T', a leaves(T')/(k+1) share has vertex k on a leaf, and dropping
+    that leaf leaves a labeled tree of some class T with k attached at some
+    vertex v. So L(T') is (k+1)/leaves(T') times the sum of L(T) over the
+    (T, v) pairs grown into T'.
     """
     if n < 1:
         raise ValueError("tree order must be at least 1")
     level: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {"()": ((), 1)}
     for k in range(1, n):
-        grown: dict[str, tuple[tuple[tuple[int, int], ...], int]] = {}
-        for edges, _ in level.values():
+        grown: dict[str, list] = {}
+        for edges, count in level.values():
             for v in range(k):
                 bigger = edges + ((v, k),)
-                form, aut = tree_signature(k + 1, bigger)
-                grown.setdefault(form, (bigger, aut))
-        level = grown
-    return [(edges, form, aut) for form, (edges, aut) in level.items()]
+                grown.setdefault(tree_signature(k + 1, bigger), [bigger, 0])[1] += count
+        # leaves(T') is the count of childless vertices "()" in its form, as
+        # no centre is a leaf from order 3 on; order 2's "[()()]" has both ends
+        level = {
+            form: (edges, (k + 1) * total // form.count("()")) for form, (edges, total) in grown.items()
+        }
+    return [(edges, form, count) for form, (edges, count) in level.items()]
 
 
 def _tree_census(n: int) -> tuple[dict[str, IntPoly], dict[IntPoly, dict]]:
     """Oracle polynomial per tree class and labeled/star counts per polynomial.
 
-    Each class T stands for n!/|Aut(T)| labeled trees on 0..n-1.
+    Each class counts its labeled trees on 0..n-1 as `free_trees` grew them.
     """
     if n < 2:
         raise ValueError("tree scans start at order 2")
     poly_of: dict[str, IntPoly] = {}
     classes: dict[IntPoly, dict] = {}
-    for edges, form, aut in free_trees(n):
+    for edges, form, count in free_trees(n):
         t = Graph._from_edges(range(n), edges)
-        weight = factorial(n) // aut
         poly = poly_of[form] = brute_force_tdp(t)
         cls = classes.setdefault(poly, {"labeled_count": 0, "star_count": 0})
-        cls["labeled_count"] += weight
-        cls["star_count"] += weight * is_star_shaped(t)
+        cls["labeled_count"] += count
+        cls["star_count"] += count * is_star_shaped(t)
     total = sum(cls["labeled_count"] for cls in classes.values())
     if total != n ** (n - 2):
         raise InternalConsistencyError(
@@ -163,7 +150,7 @@ def _first_examples(n: int, poly_of: dict[str, IntPoly], wanted: int) -> dict[In
     examples: dict[IntPoly, str] = {}
     for seq in product(range(n), repeat=n - 2):
         edges = _prufer_edges(seq, n)
-        poly = poly_of[tree_signature(n, edges)[0]]
+        poly = poly_of[tree_signature(n, edges)]
         if poly not in examples:
             examples[poly] = to_edge_list(Graph._from_edges(range(n), edges))
             if len(examples) == wanted:

@@ -699,16 +699,18 @@ def test_closedform_fails_on_a_value_off_by_one_unit(capsys, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["tree-bound", "minimal-tree"])
 def test_wrong_automorphism_count_exits_4(capsys, monkeypatch, suite):
-    """Dropping the swap of a symmetric bicentre breaks Cayley's count."""
-    honest = extremal.tree_signature
+    """Miscounting the labelings of symmetric-bicentre classes breaks Cayley's count."""
+    honest = extremal.free_trees
 
-    def forgets_swap(n, edges):
-        form, aut = honest(n, edges)
-        halves = form[1:-1]
-        symmetric = form.startswith("[") and halves[: len(halves) // 2] == halves[len(halves) // 2:]
-        return form, aut // 2 if symmetric else aut
+    def doubles_symmetric(n):
+        trees = []
+        for edges, form, count in honest(n):
+            halves = form[1:-1]
+            symmetric = form.startswith("[") and halves[: len(halves) // 2] == halves[len(halves) // 2:]
+            trees.append((edges, form, 2 * count if symmetric else count))
+        return trees
 
-    monkeypatch.setattr(extremal, "tree_signature", forgets_swap)
+    monkeypatch.setattr(extremal, "free_trees", doubles_symmetric)
     code, out, err = run_cli(capsys, ["scan", "--suite", suite, "--n", "6"])
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "Cayley" in err

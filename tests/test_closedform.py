@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdpoly import closedform
 from tdpoly.closedform import (
     CLOSED_FORM_POINTS,
     _fraction_text,
@@ -18,6 +19,7 @@ from tdpoly.closedform import (
     verify_closed_forms,
     verify_minus_one,
 )
+from tdpoly.errors import InternalConsistencyError
 from tdpoly.graph import Graph, cycle_graph, disjoint_union, path_graph, star_graph
 from tdpoly.polynomial import IntPoly
 from tdpoly.reduction import _SEEDS, _order4_walk, _recurrence_terms, cycle_tdp, path_tdp
@@ -144,6 +146,15 @@ def test_path_at_minus_one_residue_table():
         assert path_at_minus_one(n) == path_tdp(n).evaluate(-1), n
     with pytest.raises(ValueError):
         path_at_minus_one(0)
+
+
+def test_path_at_minus_one_checks_the_residue_table(monkeypatch):
+    # n = 10 is 4 mod 6, where D_t(P_n, -1) = 0; a table that says 1 fails the cross-check
+    monkeypatch.setattr(closedform, "_PATH_MINUS_ONE", {**closedform._PATH_MINUS_ONE, 4: 1})
+    message = r"^residue rule gives 1 but trigonometric form gives \S+ at n = 10$"
+    with pytest.raises(InternalConsistencyError, match=message):
+        path_at_minus_one(10)
+    assert path_at_minus_one(9) == 1  # other residues are untouched
 
 
 def test_path_at_minus_one_huge_orders():

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -129,6 +131,18 @@ def test_tree_scans_count_cayley_labeled_trees(n):
     assert sum(row["labeled_count"] for row in report.rows) == CAYLEY[n]
 
 
+# sha256 of the stdout of `scan --suite tree-bound --n N` (JSON), frozen from
+# the census that weighted each class by n!/|Aut(T)|, before the labelings were
+# counted while growing the trees
+TREE_BOUND_DIGESTS = {
+    10: "ff08195ed965626fdf903826d9f14acffca8d21e83c63d21c98a100592edbdad",
+    11: "3c695a37e3d86d927417e2c7f67746aecdecf3df22a9f2f7ae30f809c9c8d6fc",
+    12: "463ece26bfdcbfebff1a4b609bdc593a90fe5de0f17c13bc99b51e31a4d4e157",
+    13: "6569955ac62588ae71cae8a1e50cf529aa07c2a40173542a3179929a40120b72",
+    14: "67f74ff7b3731e08209fc430719f2a4a03cf6aee7172c2adf9de88f6df655747",
+}
+
+
 @pytest.mark.parametrize("n", range(10, 15))
 def test_tree_bound_scan_past_the_example_walk_cap(capsys, monkeypatch, n):
     # tree-bound has no example walk, so it runs past minimal-tree's cap of 9
@@ -143,6 +157,8 @@ def test_tree_bound_scan_past_the_example_walk_cap(capsys, monkeypatch, n):
     assert summary["labeled_trees"] == str(n ** (n - 2))  # Cayley's formula
     for flag in ("all_bound_hold", "equality_exactly_stars", "max_attained_only_by_star_poly"):
         assert summary[flag] is True, flag
+    # every row's labeled_count too, not only their total
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == TREE_BOUND_DIGESTS[n]
 
 
 def automorphism_count(n, edges):
@@ -155,14 +171,16 @@ def automorphism_count(n, edges):
 
 
 def test_tree_signature_automorphisms_match_enumeration():
+    # a class's labelings and its automorphisms multiply to n! (orbit-stabilizer)
     for n in range(1, 8):
-        for edges, _, aut in free_trees(n):
-            assert aut == automorphism_count(n, edges), edges
+        for edges, _, count in free_trees(n):
+            assert count * automorphism_count(n, edges) == factorial(n), edges
 
 
 def test_tree_signature_names_isomorphism_classes():
-    assert tree_signature(4, path_graph(4).edges) == ("[(())(())]", 2)  # symmetric bicentre
-    assert tree_signature(5, star_graph(5).edges)[1] == 24
+    assert tree_signature(4, path_graph(4).edges) == "[(())(())]"  # symmetric bicentre
+    star_form = tree_signature(5, star_graph(5).edges)
+    assert [count for _, form, count in free_trees(5) if form == star_form] == [5]  # one label per centre
     # relabelings of one tree share a form; the path and the star of order 5 differ
     rng = random.Random(7)
     for n in (5, 8, 11):
@@ -171,7 +189,7 @@ def test_tree_signature_names_isomorphism_classes():
         rng.shuffle(perm)
         relabeled = [(perm[u], perm[v]) for u, v in t.edges]
         assert tree_signature(n, relabeled) == tree_signature(n, t.edges)
-    assert tree_signature(5, path_graph(5).edges)[0] != tree_signature(5, star_graph(5).edges)[0]
+    assert tree_signature(5, path_graph(5).edges) != star_form
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -26,6 +27,7 @@ from tdpoly.graph import (
     to_edge_list,
     two_corona,
 )
+from tdpoly.polynomial import IntPoly
 
 from helpers import all_labeled_trees, is_path_shaped, join, random_tree, union
 
@@ -444,6 +446,46 @@ def test_shape_predicates():
     assert is_star_shaped(path_graph(3))  # P_3 = S_3
     assert not is_star_shaped(path_graph(4))
     assert not is_cycle_shaped(disjoint_union(cycle_graph(3), cycle_graph(3)))
+
+
+def test_star_shape_needs_two_vertices():
+    assert not is_star_shaped(Graph([], []))
+    assert not is_star_shaped(Graph([0], []))
+
+
+def test_graph_equality_and_repr():
+    g = Graph([0, 1, 2], [(1, 0), (1, 2)])
+    assert g != [[1], [0, 2], [1]] and g != "Graph"  # a non-Graph is never equal
+    assert g.__eq__(None) is NotImplemented
+    assert repr(g) == "Graph(vertices=[0, 1, 2], edges=[(0, 1), (1, 2)])"
+
+
+# generators and counters that refuse their arguments, each with its message
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        pytest.param(lambda: path_graph(-1), "path order must be nonnegative", id="path_graph n<0"),
+        pytest.param(lambda: random_connected_graph(0, 0.5, 1), "order must be at least 1", id="connected n<1"),
+        pytest.param(
+            lambda: random_connected_graph(4, -0.1, 1), "edge probability must lie in [0, 1]", id="connected p<0"
+        ),
+        pytest.param(
+            lambda: random_connected_graph(4, 1.5, 1), "edge probability must lie in [0, 1]", id="connected p>1"
+        ),
+        pytest.param(lambda: random_forest(0, 1), "order must be at least 1", id="random_forest n<1"),
+        pytest.param(lambda: random_connected_corpus(-1, 5, 1), "count must be nonnegative", id="corpus count<0"),
+        pytest.param(
+            lambda: random_connected_corpus(3, 4, 1, n_min=5), "need 1 <= n_min <= n_max", id="corpus n_min>n_max"
+        ),
+        pytest.param(lambda: free_trees(0), "tree order must be at least 1", id="free_trees n<1"),
+        pytest.param(
+            lambda: IntPoly((0, 1)).coeff(-1), "coefficient index must be nonnegative", id="IntPoly.coeff i<0"
+        ),
+    ],
+)
+def test_refusals_name_the_bad_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @settings(deadline=None, max_examples=60)

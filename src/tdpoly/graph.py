@@ -21,10 +21,12 @@ class Graph:
     """Simple undirected graph over an arbitrary set of integer labels.
 
     The graph is its adjacency map, label -> frozenset of neighbours; the
-    sorted vertex and edge tuples are derived from it when first read.
+    sorted vertex and edge tuples are derived from it when first read, and
+    the oracle's label bits and neighbour masks on its first oracle call. A
+    derived graph starts with none of them.
     """
 
-    __slots__ = ("_adj", "_vertices", "_edges")
+    __slots__ = ("_adj", "_vertices", "_edges", "_oracle_masks")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         # operator.index takes ints and numpy's ints; int() would read the label 0.9 as 0
@@ -49,7 +51,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = dict(zip(adj, map(frozenset, adj.values())))
-        self._vertices = self._edges = None
+        self._vertices = self._edges = self._oracle_masks = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -116,7 +118,7 @@ class Graph:
         checks are skipped."""
         g = object.__new__(cls)
         g._adj = adj
-        g._vertices = g._edges = None
+        g._vertices = g._edges = g._oracle_masks = None
         return g
 
     @classmethod
@@ -128,7 +130,7 @@ class Graph:
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        return cls._derived(dict(zip(adj, map(frozenset, adj.values()))))
+        return cls._derived({v: frozenset(nbrs) for v, nbrs in adj.items()})
 
     def _induced(self, keep: set[int]) -> "Graph":
         return Graph._derived({v: self._adj[v] & keep for v in keep})
@@ -286,12 +288,18 @@ def _parse_edge_lines(text: str) -> tuple[int, dict[tuple[int, int], None]]:
 def to_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list for graphs labeled 0..n-1.
 
-    Graphs with gaps in their labels (derived graphs) are relabeled by
-    ascending position first, so the output always re-parses.
+    Graphs with other labels (gapped, shifted or negative, as derived graphs
+    have) are relabeled by ascending position first, so the output always
+    re-parses.
     """
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    lines = [f"n {g.order}"]
-    lines += [f"{pos[u]} {pos[v]}" for u, v in g.edges]
+    vs = g.vertices
+    lines = [f"n {len(vs)}"]
+    # distinct sorted ints run exactly 0..n-1 when the first is 0 and the last n-1
+    if vs and (vs[0] or vs[-1] != len(vs) - 1):
+        pos = {v: i for i, v in enumerate(vs)}
+        lines += [f"{pos[u]} {pos[v]}" for u, v in g.edges]
+    else:
+        lines += [f"{u} {v}" for u, v in g.edges]
     return "\n".join(lines)
 
 
@@ -383,9 +391,10 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     if n == 1:
         return Graph._from_edges([0], ())
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    tree = {(min(e), max(e)) for e in _prufer_edges(seq, n)}
+    tree = {(u, v) if u < v else (v, u) for u, v in _prufer_edges(seq, n)}
     # a draw only for the pairs the tree lacks
-    edges = [e for e in combinations(range(n), 2) if e in tree or rng.random() < p]
+    draw = rng.random
+    edges = [e for e in combinations(range(n), 2) if e in tree or draw() < p]
     return Graph._from_edges(range(n), edges)
 
 
@@ -397,9 +406,10 @@ def random_forest(n: int, seed: int) -> Graph:
     if n == 1:
         return Graph._from_edges([0], ())
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    tree = sorted((min(e), max(e)) for e in _prufer_edges(seq, n))  # Graph.edges order
+    tree = sorted([(u, v) if u < v else (v, u) for u, v in _prufer_edges(seq, n)])  # Graph.edges order
     drop = rng.uniform(0.0, 0.5)
-    edges = [e for e in tree if rng.random() >= drop]
+    draw = rng.random
+    edges = [e for e in tree if draw() >= drop]
     return Graph._from_edges(range(n), edges)
 
 

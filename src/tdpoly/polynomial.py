@@ -215,11 +215,13 @@ def ensure_valid_tdp(p: IntPoly, order: int | None = None) -> IntPoly:
     graph order when given. Raising here catches sign errors in reduction
     arithmetic before they propagate.
     """
-    if min(p.coeffs, default=0) < 0:
+    cs = p._coeffs  # trimmed: the last entry is the leading coefficient
+    if not cs:
+        return p
+    if min(cs) < 0:
         raise InternalConsistencyError(f"negative coefficient in claimed D_t: {p!r}")
-    if p.coeff(0) != 0 or p.coeff(1) != 0:
+    if cs[0] or len(cs) > 1 and cs[1]:
         raise InternalConsistencyError(f"claimed D_t has support below degree 2: {p!r}")
-    d = p.degree()
-    if order is not None and d is not None and d > order:
+    if order is not None and len(cs) > order + 1:
         raise InternalConsistencyError(f"claimed D_t exceeds graph order {order}: {p!r}")
     return p

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from itertools import combinations, product
@@ -125,6 +126,31 @@ def test_edge_list_relabels_gapped_graphs():
     g = cycle_graph(5).delete_vertex(0)  # labels 1..4
     again = parse_edge_list(to_edge_list(g))
     assert again.order == g.order and again.size == g.size
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        (0, 1, 2, 3, 4),  # already 0..n-1: written as is
+        (1, 2, 3, 4, 5),
+        (0, 2, 3, 7, 9),  # first label 0, last not n-1
+        (2, 5, 6, 11),
+        (-4, -2, 0, 3, 8),
+        (-1, 0, 2),  # last label n-1, first not 0
+        (0,),
+        (6,),
+        (),
+    ],
+)
+def test_edge_list_relabels_by_ascending_position(labels):
+    # every pair whose sum is not divisible by 3, in a shuffled order
+    edges = [(a, b) for a, b in combinations(labels, 2) if (a + b) % 3]
+    random.Random(len(labels)).shuffle(edges)
+    g = Graph(reversed(labels), edges)
+    pos = {v: i for i, v in enumerate(sorted(labels))}
+    relabeled = sorted((min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in edges)
+    assert to_edge_list(g) == "\n".join([f"n {len(labels)}"] + [f"{a} {b}" for a, b in relabeled])
+    assert_same_graph(parse_edge_list(to_edge_list(g)), Graph(range(len(labels)), relabeled))
 
 
 # -- derived graphs ----------------------------------------------------------
@@ -407,6 +433,77 @@ def test_random_forest_thins_its_pruefer_tree_in_edge_order():
             drop = rng.uniform(0.0, 0.5)
             kept = [e for e in tree.edges if rng.random() >= drop]
             assert random_forest(n, seed) == Graph(range(n), kept), (n, seed)
+
+
+def _edge_list_digest(graphs) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(to_edge_list(g).encode() + b"\n\n")
+    return h.hexdigest()
+
+
+# sha256 over the edge lists of 60-graph corpora at the suites' shapes:
+# (n_min, n_max, seed) -> digest. Frozen from the generators' output; the
+# seeded suites (theorem1, theorem3, prop1, degree2 from n_min 2,
+# gamma-bounds from 3) draw these exact graphs.
+CORPUS_DIGESTS = {
+    (2, 8, 1): "f5a905919bea38529e06dd58b93df70704d0ec01ba686faf3bb1e8d9a2240ab9",
+    (2, 8, 5): "a07345d2ff401cd79bd6151898ba90ffcec2592145f202c0a3828797f8274b73",
+    (2, 8, 2147483647): "2562a67a128a02504b6c71cd395574a86efe396b17b43405dacd7dcf63c5985b",
+    (2, 10, 1): "3206cd5fb7faf54b23d3e2a87250c9d257f9ff8d896020a01d3d92778bfec296",
+    (2, 10, 5): "bd538a92aaf6222ecbacd41fce1cd4893dea74220e1e9712983adecb892980ae",
+    (2, 10, 2147483647): "aef511829c36ed6eea498e01d6113d62a6d747b93355c67853dbb1dddd637dd0",
+    (2, 12, 1): "da164b972649fe7b7862609ea35721e7d70b678c0ded72e50b08ae7e86bccff7",
+    (2, 12, 5): "a41f234d2efc1a40173170ce89364979db6d5598976dc3147264071c08b7a5f3",
+    (2, 12, 2147483647): "9201889aab7670c04135e848f1eabeb19047ae4b5144cf8b5de53c750a9c2be0",
+    (3, 8, 1): "708402d8ae687c2faf1e3ffb0e0021db3759b9d250332bbf595821ecfc3e892a",
+    (3, 8, 5): "2e157831a944c9651fce809bcb193a15e4cc9f690a57dffa00b25107f21d673f",
+    (3, 8, 2147483647): "c451b2759e05d17f2e7f618416ddc39fca75053723d69f1706f6905496cb9b51",
+    (3, 10, 1): "83e106352c3249ca3e1e397d8ec07519f170aa246f4ea1ec458d000510649170",
+    (3, 10, 5): "f3184ba3fb954bf3641949240f9ee343aa1183b6cea6c31909352c7e540cda25",
+    (3, 10, 2147483647): "331e3c222729653c23ef7d9afccb2ef8d9ad759511d7080375713d0dd86c2cfd",
+    (3, 12, 1): "674f94a2e25971d880441059d3ee2c701576006d6c39640d6cb177c9127a037c",
+    (3, 12, 5): "d71ab30aed1f810baa5741d7374a25375ba8ede46e7a7ef535c421bc0104ecaf",
+    (3, 12, 2147483647): "bddfcd9ecdaffeef5e1910c747a63e107b909a57702be784eee5e4844c8fd799",
+}
+
+
+@pytest.mark.parametrize(("n_min", "n_max", "seed"), sorted(CORPUS_DIGESTS))
+def test_random_connected_corpus_frozen(n_min, n_max, seed):
+    corpus = random_connected_corpus(60, n_max, seed, n_min)
+    assert _edge_list_digest(corpus) == CORPUS_DIGESTS[(n_min, n_max, seed)]
+
+
+# order -> sha256 over the edge lists of random_forest(n, s) for the (n, s)
+# that 800 trials of the minus-one suite draw at its default seed 42, in draw
+# order; frozen from the generator's output
+FOREST_DIGESTS = {
+    1: "ff7ac2f609c82b8032d14d600521e09528c50d3c4d2a181da0130faa731217e2",
+    2: "032c3c62ca33a2f4210516ccb86f29eb785fab9206d46c2ec1abd1daf2021253",
+    3: "56ab42653fd207748465b20ceb62882103cb230034e0c9fb1dffa3cb43533ae2",
+    4: "5538f4f470f6473d397fb60e991f9159b5dd64f55402625ca5b55be03bbd4137",
+    5: "b90761408cb246776881cd60345c204fed46991c42e6b36c1c4815dd26788dbc",
+    6: "426234abbec6fedbc39992297b865ca5d418246feb9f6a897328317ddcca5d74",
+    7: "a131c13fa7ac3a587dc979b4cb09adc778318dab1f7ba50764925aa9a75aaf01",
+    8: "78588b6bca0f69f1a06501be7870d3a76decfcb43f05f1bbb8f75b9dd18052fb",
+    9: "a38beb12984af0a8f64a1461a7e841d8c14734b51e4afc3c7e818ad856b47934",
+    10: "8cecf3229cbf780f619e6bf3d6cb3a1e3b63162f21dc33cab3b4d2c08c30d609",
+    11: "047bc6ec9963543440f72d397569a43e5a76c4dc4e512e8185fd2ea1bd417c56",
+    12: "b17e3321dd168ede58013742c50c7bfa4400d10cabc7d4a4c282fa81dabf49d7",
+    13: "c1ebf772c2f053e76e6111af7ce169cafa658a4ebb5c4f1546830c01060ce94c",
+    14: "f35700694894d73889290bd5ec0e940b83187394d7f7630a10f97ee858ce8485",
+    15: "a1b462f91a4770d590787e59803b695d383ac7dcab29df1e251f960620452cea",
+    16: "3700e09c87cf0a0224243bb64043d6fcb8f87824a7f1f248f1038c1ca12de37b",
+}
+
+
+def test_random_forest_frozen():
+    master = random.Random(42)
+    by_order: dict[int, list[Graph]] = {n: [] for n in FOREST_DIGESTS}
+    for _ in range(800):
+        n = master.randint(1, 16)
+        by_order[n].append(random_forest(n, master.randrange(2**32)))
+    assert {n: _edge_list_digest(forests) for n, forests in by_order.items()} == FOREST_DIGESTS
 
 
 def test_all_labeled_trees_counts():

@@ -161,6 +161,60 @@ def test_condition_atom_on_dead_vertex_rejected_with_isolated_vertex(monkeypatch
             brute_force_tdp(P3_WITH_ISOLATED, **cond)
 
 
+def test_condition_atom_on_dead_vertex_rejected_on_the_empty_graph(monkeypatch):
+    # the empty graph gives zero too, but only once its conditions are read
+    monkeypatch.setattr(kernels, "size_counts", lambda *a: pytest.fail("nothing is enumerated"))
+    for cond in ({"required": [7]}, {"forbidden": [7]}, {"meets": [{7}]}, {"meets": [(), {7}]}):
+        with pytest.raises(ValueError, match="vertex 7"):
+            brute_force_tdp(Graph([]), **cond)
+    assert brute_force_tdp(Graph([]), meets=[()]) == IntPoly.zero()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_unconditioned_call_equals_the_conditioned_path(n):
+    # every totally dominating set is nonempty, so meeting the whole vertex
+    # set is no condition: the general path must give D_t itself
+    for g in all_labeled_graphs(n):
+        assert brute_force_tdp(g) == brute_force_tdp(Graph(g.vertices, g.edges), meets=[g.vertices]), g
+
+
+def test_unconditioned_call_equals_the_conditioned_path_on_larger_graphs():
+    # orders up to 18, so that calls past the kernel's whole-table cutoff
+    # take the split on both paths
+    rng = random.Random(2024)
+    orders = []
+    for _ in range(24):
+        g = random_connected_graph(rng.randint(6, 18), rng.uniform(0.1, 0.6), rng.randrange(2**32))
+        orders.append(g.order)
+        assert brute_force_tdp(g) == brute_force_tdp(Graph(g.vertices, g.edges), meets=[g.vertices]), g
+    assert max(orders) > kernels._WHOLE_MAX
+
+
+def test_derived_graphs_do_not_share_their_parents_masks():
+    # a graph keeps its oracle masks; every graph derived from it, made
+    # after they were built, must still get its own value
+    rng = random.Random(58)
+    for _ in range(60):
+        g = random_connected_graph(rng.randint(3, 9), rng.uniform(0.2, 0.7), rng.randrange(2**32))
+        brute_force_tdp(g)
+        u = rng.choice(g.vertices)
+        v = rng.choice(sorted(g.neighbors(u)))
+        derived = [
+            g.delete_vertex(u),
+            g.contract_vertex(u),
+            g.delete_edge(u, v),
+            g.without_closed_neighborhoods([u]),
+            *g.components(),
+        ]
+        for h in derived:
+            fresh = Graph(h.vertices, h.edges)
+            assert brute_force_tdp(h) == brute_force_tdp(fresh), (g, h)
+            if h.order:
+                w = h.vertices[0]
+                assert brute_force_tdp(h, required=[w]) == brute_force_tdp(fresh, required=[w]), (g, h)
+                assert brute_force_tdp(h) == naive_tdp(h), (g, h)
+
+
 def test_counts_do_not_depend_on_the_order_labels_are_given_in():
     # the oracle numbers its bits in adjacency order, which follows the
     # order of Graph's vertex argument

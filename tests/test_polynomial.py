@@ -188,6 +188,34 @@ def test_ensure_valid_tdp_rejects_bad_shapes():
         ensure_valid_tdp(P4, 3)  # degree above the graph order
 
 
+def reference_tdp_check(p: IntPoly, order: int | None) -> str | None:
+    """The three checks of ensure_valid_tdp, one coefficient read at a time:
+    the message of the first that fails, None when all hold."""
+    if any(c < 0 for c in p.coeffs):
+        return f"negative coefficient in claimed D_t: {p!r}"
+    if p.coeff(0) != 0 or p.coeff(1) != 0:
+        return f"claimed D_t has support below degree 2: {p!r}"
+    if order is not None and p.degree() is not None and p.degree() > order:
+        return f"claimed D_t exceeds graph order {order}: {p!r}"
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.integers(min_value=-2, max_value=3), max_size=7),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+)
+def test_ensure_valid_tdp_matches_its_reference(cs, order):
+    p = IntPoly(cs)
+    want = reference_tdp_check(p, order)
+    if want is None:
+        assert ensure_valid_tdp(p, order) is p
+    else:
+        with pytest.raises(InternalConsistencyError) as info:
+            ensure_valid_tdp(p, order)
+        assert str(info.value) == want
+
+
 small_ints = st.integers(min_value=-50, max_value=50)
 polys = st.lists(small_ints, max_size=8).map(IntPoly)
 

@@ -21,12 +21,10 @@ class Graph:
     """Simple undirected graph over an arbitrary set of integer labels.
 
     The graph is its adjacency map, label -> frozenset of neighbours; the
-    sorted vertex and edge tuples are derived from it when first read, and
-    the oracle's label bits and neighbour masks on its first oracle call. A
-    derived graph starts with none of them.
+    sorted vertex and edge tuples are derived from it when first read.
     """
 
-    __slots__ = ("_adj", "_vertices", "_edges", "_oracle_masks")
+    __slots__ = ("_adj", "_vertices", "_edges")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         # operator.index takes ints and numpy's ints; int() would read the label 0.9 as 0
@@ -51,7 +49,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = dict(zip(adj, map(frozenset, adj.values())))
-        self._vertices = self._edges = self._oracle_masks = None
+        self._vertices = self._edges = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -118,7 +116,7 @@ class Graph:
         checks are skipped."""
         g = object.__new__(cls)
         g._adj = adj
-        g._vertices = g._edges = g._oracle_masks = None
+        g._vertices = g._edges = None
         return g
 
     @classmethod
@@ -292,14 +290,9 @@ def to_edge_list(g: Graph) -> str:
     have) are relabeled by ascending position first, so the output always
     re-parses.
     """
-    vs = g.vertices
-    lines = [f"n {len(vs)}"]
-    # distinct sorted ints run exactly 0..n-1 when the first is 0 and the last n-1
-    if vs and (vs[0] or vs[-1] != len(vs) - 1):
-        pos = {v: i for i, v in enumerate(vs)}
-        lines += [f"{pos[u]} {pos[v]}" for u, v in g.edges]
-    else:
-        lines += [f"{u} {v}" for u, v in g.edges]
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    lines = [f"n {g.order}"]
+    lines += [f"{pos[u]} {pos[v]}" for u, v in g.edges]
     return "\n".join(lines)
 
 

@@ -4,9 +4,9 @@ A set W totally dominates G when every live vertex (members of W included)
 has at least one neighbor inside W. ``brute_force_tdp`` enumerates the
 subsets through the kernels module and therefore refuses graphs beyond the
 26-bit budget rather than degrade. Its optional conditions are vertex sets
-(required, forbidden and must-meet), compiled here, when given, into the
-kernel's two inputs, candidate masks and a cover target; the kernel itself
-knows only covers.
+(required, forbidden and must-meet), compiled here into the kernel's two
+inputs, candidate masks and a cover target; the kernel itself knows only
+covers.
 
 Convention: the empty graph gets the zero polynomial here. The "empty graph
 counts as 1" reading exists only inside the reduction engine's indicator
@@ -37,24 +37,6 @@ def _mask(bit: dict[int, int], vs: Iterable[int]) -> int:
     return m
 
 
-def _bits_and_masks(g: Graph) -> tuple[dict[int, int], tuple[int, ...]]:
-    """Bit of each live label (1 << i for the i-th in adjacency order) and
-    the neighbour mask of each vertex in that order, built on a graph's first
-    oracle call and kept on it."""
-    kept = g._oracle_masks
-    if kept is None:
-        adj = g._adj  # neighbours of a live vertex are live: no label checks
-        bit = {v: 1 << i for i, v in enumerate(adj)}
-        masks = []
-        for nbrs in adj.values():
-            m = 0
-            for w in nbrs:
-                m |= bit[w]
-            masks.append(m)
-        kept = g._oracle_masks = (bit, tuple(masks))
-    return kept
-
-
 def brute_force_tdp(
     g: Graph,
     *,
@@ -67,12 +49,10 @@ def brute_force_tdp(
     every set in ``meets``.
 
     With no conditions this is D_t(g): zero for the empty graph and for any
-    graph with an isolated vertex (no set can dominate it), and otherwise
-    the kernel's counts over the neighbour masks with every vertex in the
-    target. The masks number the live labels 0..n-1 in adjacency order
-    (counts by size do not depend on the numbering) and are built once per
-    graph. Conditions become candidate masks and a cover target for
-    ``kernels.size_counts``:
+    graph with an isolated vertex (no set can dominate it). The conditions
+    become candidate masks and a cover target for ``kernels.size_counts``,
+    with live labels numbered 0..n-1 in adjacency order (counts by size do
+    not depend on the numbering):
 
     - a required vertex is in every counted set, so it leaves the candidates,
       its neighbourhood leaves the target and the counts shift up by |R|;
@@ -85,26 +65,27 @@ def brute_force_tdp(
     When some target bit is in no candidate mask (an isolated vertex, an
     empty must-meet set, a vertex whose neighbours are all forbidden), no set
     counts and the zero polynomial returns without enumerating; an isolated
-    vertex is an empty neighbour mask. A condition on a label that is not
-    live raises ``ValueError``, also on a graph that gives zero, the empty
-    graph included.
+    vertex is seen before any mask is built. A condition on a label that is
+    not live raises ``ValueError``, also on a graph that gives zero, the
+    empty graph included.
     """
-    n = len(g._adj)
+    adj = g._adj  # neighbours of a live vertex are live: no label checks
+    n = len(adj)
     if n > MAX_ENUM_ORDER:
         raise BudgetError(f"brute-force enumeration capped at {MAX_ENUM_ORDER} vertices, graph has {n}")
-    bit, masks = _bits_and_masks(g)
+    bit = {v: 1 << i for i, v in enumerate(adj)}
     req = _mask(bit, required) if required else 0
     forb = _mask(bit, forbidden) if forbidden else 0
     virtual = dict.fromkeys(_mask(bit, vs) for vs in meets) if meets else ()  # distinct sets, in order
-    if not n or req & forb or not all(masks):
+    if not n or req & forb or not all(adj.values()):
         return IntPoly.zero()
-    if not (req or forb or virtual):  # no condition: the masks as they are, every vertex in the target
-        return ensure_valid_tdp(IntPoly._of(kernels.size_counts(masks, (1 << n) - 1).tolist()), n)
     target = (1 << (n + len(virtual))) - 1
     candidates = []
     reach = 0  # the target bits some candidate covers
-    for i, m in enumerate(masks):
-        b = 1 << i
+    for v, b in bit.items():
+        m = 0
+        for w in adj[v]:
+            m |= bit[w]
         if virtual:
             for j, vs in enumerate(virtual):
                 if vs & b:

@@ -173,7 +173,7 @@ def test_condition_atom_on_dead_vertex_rejected_on_the_empty_graph(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_unconditioned_call_equals_the_conditioned_path(n):
     # every totally dominating set is nonempty, so meeting the whole vertex
-    # set is no condition: the general path must give D_t itself
+    # set is no condition: its virtual vertex must leave D_t as it is
     for g in all_labeled_graphs(n):
         assert brute_force_tdp(g) == brute_force_tdp(Graph(g.vertices, g.edges), meets=[g.vertices]), g
 
@@ -190,9 +190,9 @@ def test_unconditioned_call_equals_the_conditioned_path_on_larger_graphs():
     assert max(orders) > kernels._WHOLE_MAX
 
 
-def test_derived_graphs_do_not_share_their_parents_masks():
-    # a graph keeps its oracle masks; every graph derived from it, made
-    # after they were built, must still get its own value
+def test_derived_graphs_get_their_own_values_after_a_call_on_the_parent():
+    # an oracle call leaves nothing on a graph that the graphs derived from
+    # it afterwards could read: each still gets its own value
     rng = random.Random(58)
     for _ in range(60):
         g = random_connected_graph(rng.randint(3, 9), rng.uniform(0.2, 0.7), rng.randrange(2**32))
